@@ -14,7 +14,8 @@ OUT.mkdir(exist_ok=True)
 
 line = build_config(
     {
-        "workflow": "trap",
+        "workflow": "freespace",
+        "spectrum": "trap",
         "mu_over_homega": 30,
         "t_grid": np.round(np.linspace(0.02, 0.6, 60), 6).tolist(),
         "p_grid": [0.0],
@@ -25,7 +26,8 @@ run(line)
 
 heatmap = build_config(
     {
-        "workflow": "trap",
+        "workflow": "freespace",
+        "spectrum": "trap",
         "mu_over_homega": 30,
         "t_grid": np.round(np.linspace(0.02, 0.5, 25), 6).tolist(),
         "p_grid": np.round(np.linspace(0.0, 0.99, 101), 6).tolist(),

@@ -24,7 +24,6 @@ from .spectra import (
     FreeSpaceContinuum,
     FreeSpaceGrid,
     HarmonicTrap,
-    LatticeDispersion,
     enumerate_levels,
     lattice_dispersion,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "FreeSpaceGrid",
     "GasParameters",
     "HarmonicTrap",
-    "LatticeDispersion",
     "OccupationTable",
     "QfiResult",
     "SpinMoments",

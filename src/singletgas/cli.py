@@ -1,8 +1,8 @@
 """Batch front end: config parsing, workflows, deterministic CSV/JSON output.
 
-Workflows: ``freespace`` and ``trap`` sweep the singlet fraction over a
-(T, P) grid; ``threshold`` locates the temperature where f_s vanishes;
-``lattice`` emits the spin correlation map and structure factor;
+Workflows: ``freespace`` sweeps the singlet fraction of the configured
+spectrum over a (T, P) grid; ``threshold`` locates the temperature where
+f_s vanishes; ``lattice`` emits the spin correlation map and structure factor;
 ``validate`` cross-checks the closed-form variances against the exact
 few-mode enumeration on seeded random ensembles.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -50,7 +51,7 @@ class RunConfig:
     out: str = "out.csv"
     format: str = "csv"
 
-    WORKFLOWS = ("freespace", "trap", "lattice", "validate", "threshold")
+    WORKFLOWS = ("freespace", "lattice", "validate", "threshold")
 
     def validate(self):
         if self.workflow not in self.WORKFLOWS:
@@ -59,17 +60,30 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.spectrum not in ("continuum", "grid", "trap"):
             raise ConfigError(f"unknown spectrum {self.spectrum!r}")
+        if len(self.t_bracket) != 2:
+            raise ConfigError("t_bracket must hold two temperatures")
         for name, grid in (("t_grid", self.t_grid), ("p_grid", self.p_grid)):
             if not grid:
                 raise ConfigError(f"{name} must be nonempty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
+        for name in ("t_grid", "p_grid", "t_bracket"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ConfigError(f"{name} must be finite")
+        for name in ("p_target", "mu_over_homega", "t_over_j"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if any(t <= 0 for t in self.t_grid):
             raise ConfigError("temperatures must be positive")
         if any(not 0.0 <= p < 1.0 for p in self.p_grid):
             raise ConfigError("polarizations must lie in [0, 1)")
         if self.lattice_size <= 0 or self.lattice_size % 2:
             raise ConfigError("lattice_size must be a positive even integer")
+        for name in ("t_over_j", "mu_over_homega", "half_width"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        if self.samples_fermi < 0 or self.samples_bose < 0:
+            raise ConfigError("sample counts must be nonnegative")
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -136,48 +150,38 @@ def _model_for(cfg):
     return spectra.FreeSpaceContinuum()
 
 
-def _write_table(path, cfg, columns, rows):
+def _write(path, cfg, csv_head, json_head, rows_key, rows):
+    """Write ``rows`` below the resolved config, as CSV or as JSON.
+
+    ``csv_head`` is the CSV line above the rows; ``json_head`` is the
+    (key, value) pair stored next to ``rows_key`` in the JSON object.
+    """
+    if not np.isfinite(np.asarray(rows, dtype=float)).all():
+        raise DomainError(f"refusing to write non-finite values to {path}")
     path = Path(path)
     if cfg.format == "json":
         payload = {
             "config": cfg.as_dict(),
-            "columns": list(columns),
-            "rows": [[float(_fmt(v)) for v in row] for row in rows],
+            json_head[0]: json_head[1],
+            rows_key: [[float(_fmt(v)) for v in row] for row in rows],
         }
         path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         return
     lines = [f"# {key} = {value}" for key, value in sorted(cfg.as_dict().items())]
-    lines.append(",".join(columns))
+    lines.append(csv_head)
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_map(path, cfg, values):
-    path = Path(path)
-    L = values.shape[0]
-    if cfg.format == "json":
-        payload = {
-            "config": cfg.as_dict(),
-            "L": L,
-            "values": [[float(_fmt(v)) for v in row] for row in values],
-        }
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        return
-    lines = [f"# {key} = {value}" for key, value in sorted(cfg.as_dict().items())]
-    lines.append(f"L,{L}")
-    lines.extend(",".join(_fmt(v) for v in row) for row in values)
-    path.write_text("\n".join(lines) + "\n")
+def _write_table(cfg, columns, rows):
+    _write(cfg.out, cfg, ",".join(columns), ("columns", list(columns)), "rows", rows)
 
 
 SWEEP_COLUMNS = ("T_over_mu", "P", "f_s", "var_Jx", "var_Jz", "mean_N", "witnessed")
 
 
 def run_sweep(cfg):
-    if cfg.workflow == "trap":
-        model = spectra.HarmonicTrap(level_spacing=1.0 / cfg.mu_over_homega)
-    else:
-        model = _model_for(cfg)
-    points = spinmoments.singlet_fraction_sweep(model, cfg.t_grid, cfg.p_grid)
+    points = spinmoments.singlet_fraction_sweep(_model_for(cfg), cfg.t_grid, cfg.p_grid)
     rows = [
         (
             pt.temperature,
@@ -190,7 +194,7 @@ def run_sweep(cfg):
         )
         for pt in points
     ]
-    _write_table(cfg.out, cfg, SWEEP_COLUMNS, rows)
+    _write_table(cfg, SWEEP_COLUMNS, rows)
 
 
 def run_threshold(cfg):
@@ -198,17 +202,18 @@ def run_threshold(cfg):
     t_star = spinmoments.find_threshold(
         model, cfg.p_target, t_bracket=tuple(cfg.t_bracket)
     )
-    _write_table(cfg.out, cfg, ("P", "T_star_over_mu"), [(cfg.p_target, t_star)])
+    _write_table(cfg, ("P", "T_star_over_mu"), [(cfg.p_target, t_star)])
 
 
 def run_lattice(cfg):
     cmap = lattice.spin_correlation_map(cfg.lattice_size, temperature=cfg.t_over_j)
     sf = lattice.structure_factor(cmap)
     out = Path(cfg.out)
-    corr_path = out.with_name(out.stem + "_correlation" + (out.suffix or ".csv"))
-    sf_path = out.with_name(out.stem + "_structure_factor" + (out.suffix or ".csv"))
-    _write_map(corr_path, cfg, cmap.values)
-    _write_map(sf_path, cfg, sf.values)
+    L = cfg.lattice_size
+    maps = (("_correlation", cmap.values), ("_structure_factor", sf.values))
+    for name, values in maps:
+        path = out.with_name(out.stem + name + (out.suffix or ".csv"))
+        _write(path, cfg, f"L,{L}", ("L", L), "values", values)
 
 
 def _sample_fermi_ensemble(gen):
@@ -285,15 +290,13 @@ def run_validate(cfg):
         ok = dev < BOSE_ORACLE_RTOL
         failures += not ok
         rows.append((cfg.samples_fermi + i, 1, len(ens.energies), dev, int(ok)))
-    _write_table(
-        cfg.out, cfg, ("index", "is_bose", "modes", "max_rel_err", "ok"), rows
-    )
+    _write_table(cfg, ("index", "is_bose", "modes", "max_rel_err", "ok"), rows)
     return failures
 
 
 def run(cfg):
     """Execute one workflow; returns a process exit status."""
-    if cfg.workflow in ("freespace", "trap"):
+    if cfg.workflow == "freespace":
         run_sweep(cfg)
     elif cfg.workflow == "threshold":
         run_threshold(cfg)

@@ -8,6 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import occupancy, spectra
+
 IMAG_TOL = 1e-12
 GROUND_STATE_T = 1e-3  # in units of the hopping; see module notes below
 
@@ -50,13 +52,10 @@ def momentum_occupations(size, temperature=GROUND_STATE_T, mu=0.0, hopping=1.0):
     """Fermi occupations n_k per spin on the L x L momentum grid."""
     if size <= 0 or size % 2:
         raise ValueError(f"lattice size must be a positive even integer, got {size}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     k = 2.0 * np.pi * np.arange(size) / size
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    dispersion = -2.0 * hopping * (np.cos(kx) + np.cos(ky))
-    x = np.clip((dispersion - mu) / temperature, -700.0, 700.0)
-    return 1.0 / (np.exp(x) + 1.0)
+    energies = spectra.lattice_dispersion(np.meshgrid(k, k, indexing="ij"), hopping)
+    params = occupancy.GasParameters.fermi(temperature, mu=mu)
+    return occupancy.occupation(energies, params)
 
 
 def first_order_correlation(size, temperature=GROUND_STATE_T, mu=0.0, hopping=1.0):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .occupancy import DomainError, NoConvergence
-from .spinmoments import InequalityCheck, SpinMoments
+from .spinmoments import InequalityCheck, SpinMoments, tightest_permutations
 
 MAX_FERMI_MODES = 6
 MAX_BOSE_MODES = 4
@@ -165,33 +165,24 @@ def _exact_report(ens):
     nn2_over = float((w2 * n_vals * (n_vals - 2.0) * inv).sum() / (4.0 * z2))
 
     variances = {"x": sector.var_jx, "y": sector.var_jy, "z": sector.var_jz}
-    second_over = {"x": jx2_over, "y": jx2_over, "z": jz2_over}
-
     total = sum(variances.values())
     ineq_sum = InequalityCheck(
         total, sector.mean_n / 2.0, total >= sector.mean_n / 2.0, "exact"
     )
-    single = min(
-        (
-            (variances[a], second_over[b] + second_over[c] - n_over)
-            for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
-        ),
-        key=lambda lr: lr[0] - lr[1],
-    )
-    pair = min(
-        (
-            (variances[a] + variances[b], second_over[c] + nn2_over)
-            for a, b, c in (("x", "y", "z"), ("x", "z", "y"), ("y", "z", "x"))
-        ),
-        key=lambda lr: lr[0] - lr[1],
+    single, pair = tightest_permutations(
+        variances,
+        {"x": jx2_over, "y": jx2_over, "z": jz2_over},
+        n_over,
+        nn2_over,
+        "exact",
     )
     return ExactReport(
         moments=moments,
         sector_moments=sector,
         weight_n_le_1=weight_low,
         inequality_sum=ineq_sum,
-        inequality_single=InequalityCheck(*single, single[0] >= single[1], "exact"),
-        inequality_pair=InequalityCheck(*pair, pair[0] >= pair[1], "exact"),
+        inequality_single=single,
+        inequality_pair=pair,
     )
 
 

@@ -60,15 +60,7 @@ class HarmonicTrap:
     n_max: int | None = None
 
 
-@dataclass(frozen=True)
-class LatticeDispersion:
-    """Tight-binding band on an L x L periodic square lattice, L even."""
-
-    size: int
-    hopping: float = 1.0
-
-
-SpectrumModel = FreeSpaceGrid | FreeSpaceContinuum | HarmonicTrap | LatticeDispersion
+SpectrumModel = FreeSpaceGrid | FreeSpaceContinuum | HarmonicTrap
 
 
 def lattice_dispersion(k, hopping=1.0):
@@ -80,7 +72,7 @@ def lattice_dispersion(k, hopping=1.0):
 def resolve_model(model, temperature, mu=1.0, field=0.0):
     """Fill in adaptive pieces of a model for one thermodynamic point.
 
-    Continuum: cutoff mu + max(H,0)/2 + 40 T, panel boundaries at both
+    Continuum: cutoff mu + |H|/2 + 40 T, panel boundaries at both
     spin Fermi edges mu -+ H/2 and at +-20 T around them.  Trap: shell
     cutoff where the occupation falls below 1e-12.  Other models pass
     through unchanged.
@@ -88,7 +80,7 @@ def resolve_model(model, temperature, mu=1.0, field=0.0):
     if isinstance(model, FreeSpaceContinuum):
         cut = model.energy_cutoff
         if cut is None:
-            cut = mu + max(field, 0.0) / 2.0 + 40.0 * temperature
+            cut = mu + abs(field) / 2.0 + 40.0 * temperature
         edges = []
         for edge in (mu - field / 2.0, mu + field / 2.0):
             edges.extend([edge - 20.0 * temperature, edge, edge + 20.0 * temperature])
@@ -116,8 +108,6 @@ def enumerate_levels(model):
         return _continuum_levels(model)
     if isinstance(model, HarmonicTrap):
         return _trap_levels(model)
-    if isinstance(model, LatticeDispersion):
-        return _lattice_levels(model)
     raise TypeError(f"not a spectrum model: {model!r}")
 
 
@@ -165,14 +155,3 @@ def _trap_levels(model):
     weights = (shells + 1) * (shells + 2) / 2.0
     return energies, weights
 
-
-def _lattice_levels(model):
-    L = model.size
-    if L <= 0 or L % 2:
-        raise ValueError(f"lattice size must be a positive even integer, got {L}")
-    m = np.arange(L)
-    mx, my = np.meshgrid(m, m, indexing="ij")
-    mx, my = mx.ravel(), my.ravel()
-    energies = lattice_dispersion((2 * np.pi * mx / L, 2 * np.pi * my / L), model.hopping)
-    order = np.lexsort((my, mx, energies))
-    return energies[order], np.ones_like(energies)

@@ -93,6 +93,31 @@ def xi_squared(moments):
     )
 
 
+def tightest_permutations(variances, second_over, n_over, nn2_over, approximation):
+    """Inequalities 2 and 3, each at its axis permutation of smallest margin.
+
+    ``variances`` and ``second_over`` map the axes "x", "y", "z" to Var(J^a)
+    and <(J^a)^2 / (N - 1)>; ``n_over`` is <N / (N - 1)> / 2 and
+    ``nn2_over`` is <N (N - 2) / (N - 1)> / 4.  Inequality 2 reads
+    Var(J^a) >= second_over[b] + second_over[c] - n_over, inequality 3
+    Var(J^a) + Var(J^b) >= second_over[c] + nn2_over.
+    """
+
+    def tightest(sides):
+        lhs, rhs = min(sides, key=lambda lr: lr[0] - lr[1])
+        return InequalityCheck(lhs, rhs, lhs >= rhs, approximation)
+
+    single = tightest(
+        (variances[a], second_over[b] + second_over[c] - n_over)
+        for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
+    )
+    pair = tightest(
+        (variances[a] + variances[b], second_over[c] + nn2_over)
+        for a, b, c in (("x", "y", "z"), ("x", "z", "y"), ("y", "z", "x"))
+    )
+    return single, pair
+
+
 def witness_report(moments):
     """Evaluate the three separability inequalities for one set of moments.
 
@@ -116,28 +141,18 @@ def witness_report(moments):
         approximation="exact",
     )
     denom = n - 1.0
-    single = min(
-        (
-            (variances[a], (second[b] + second[c] - n / 2.0) / denom)
-            for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
-        ),
-        key=lambda lr: lr[0] - lr[1],
-    )
-    pair = min(
-        (
-            (
-                variances[a] + variances[b],
-                second[c] / denom + n * (n - 2.0) / (4.0 * denom),
-            )
-            for a, b, c in (("x", "y", "z"), ("x", "z", "y"), ("y", "z", "x"))
-        ),
-        key=lambda lr: lr[0] - lr[1],
+    single, pair = tightest_permutations(
+        variances,
+        {axis: value / denom for axis, value in second.items()},
+        n / (2.0 * denom),
+        n * (n - 2.0) / (4.0 * denom),
+        "mean-N",
     )
     xi2 = xi_squared(moments)
     return WitnessReport(
         inequality_sum=ineq_sum,
-        inequality_single=InequalityCheck(*single, single[0] >= single[1], "mean-N"),
-        inequality_pair=InequalityCheck(*pair, pair[0] >= pair[1], "mean-N"),
+        inequality_single=single,
+        inequality_pair=pair,
         xi_squared=xi2,
         singlet_fraction=1.0 - xi2,
         entanglement_witnessed=xi2 < 1.0,

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from singletgas import cli
+from singletgas import cli, lattice
 from singletgas.cli import ConfigError, build_config, main, parse_config_text
 
 
@@ -38,6 +39,17 @@ def test_parse_json_config():
         "workflow = lattice\nlattice_size = 9",
         '{"workflow": ["not", "a", "string"]}',
         "just a line without equals",
+        "workflow = trap",
+        "workflow = freespace\nt_grid = nan",
+        "workflow = freespace\nt_grid = 0.5, inf",
+        "workflow = threshold\np_target = nan",
+        "workflow = threshold\nt_bracket = 0.02, nan",
+        "workflow = threshold\nt_bracket = 0.5",
+        "workflow = lattice\nt_over_j = -1",
+        "workflow = freespace\nspectrum = trap\nmu_over_homega = 0",
+        "workflow = freespace\nspectrum = grid\nhalf_width = 0",
+        "workflow = validate\nsamples_fermi = -3",
+        "workflow = validate\nsamples_bose = -1",
     ],
 )
 def test_bad_configs_rejected(text):
@@ -150,6 +162,17 @@ def test_exit_codes(tmp_path):
         f"workflow = threshold\nt_bracket = 0.02, 0.05\nout = {out}\n",
     )
     assert status == cli.EXIT_DOMAIN
+
+
+def test_non_finite_output_refused(tmp_path, monkeypatch):
+    def broken(cmap):
+        return lattice.StructureFactor(cmap.size, np.full(cmap.values.shape, np.nan))
+
+    monkeypatch.setattr(lattice, "structure_factor", broken)
+    out = tmp_path / "maps.csv"
+    status = run_cli(tmp_path, f"workflow = lattice\nlattice_size = 4\nout = {out}\n")
+    assert status == cli.EXIT_DOMAIN
+    assert not (tmp_path / "maps_structure_factor.csv").exists()
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -57,6 +57,8 @@ def test_odd_size_rejected():
     with pytest.raises(ValueError):
         first_order_correlation(9)
     with pytest.raises(ValueError):
+        first_order_correlation(0)
+    with pytest.raises(ValueError):
         momentum_occupations(16, temperature=0.0)
 
 

@@ -110,6 +110,21 @@ def test_polarized_limit():
     assert total_number(table).polarization == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [FreeSpaceContinuum(), FreeSpaceGrid(half_width=8), HarmonicTrap(level_spacing=0.1)],
+    ids=["continuum", "grid", "trap"],
+)
+def test_field_reversal_swaps_spins(model):
+    def numbers(field):
+        params = GasParameters.fermi(temperature=0.02, mu=1.0, field=field)
+        return total_number(build_occupation_table(model, params))
+
+    up, down = numbers(2.0), numbers(-2.0)
+    assert down.total == pytest.approx(up.total, rel=1e-12)
+    assert down.polarization == pytest.approx(-up.polarization, rel=1e-12)
+
+
 def test_polarization_monotone_in_field():
     params = GasParameters.fermi(temperature=0.2, mu=1.0)
     model = FreeSpaceContinuum()

@@ -7,7 +7,6 @@ from singletgas.spectra import (
     FreeSpaceContinuum,
     FreeSpaceGrid,
     HarmonicTrap,
-    LatticeDispersion,
     enumerate_levels,
     lattice_dispersion,
     resolve_model,
@@ -26,10 +25,14 @@ def test_trap_degeneracy_formula():
     assert np.array_equal(weights, (n + 1) * (n + 2) / 2)
 
 
+def momentum_grid(size):
+    k = 2.0 * np.pi * np.arange(size) / size
+    return np.meshgrid(k, k, indexing="ij")
+
+
 def test_lattice_l2_energies():
-    energies, weights = enumerate_levels(LatticeDispersion(2, 1.0))
-    assert sorted(energies.tolist()) == [-4.0, 0.0, 0.0, 4.0]
-    assert weights.tolist() == [1.0] * 4
+    energies = lattice_dispersion(momentum_grid(2), 1.0)
+    assert sorted(energies.ravel().tolist()) == [-4.0, 0.0, 0.0, 4.0]
 
 
 @pytest.mark.parametrize(
@@ -56,7 +59,7 @@ def test_grid_energy_scale():
 
 @pytest.mark.parametrize("size", [4, 8, 16])
 def test_lattice_particle_hole_symmetry(size):
-    energies, _ = enumerate_levels(LatticeDispersion(size, 1.0))
+    energies = lattice_dispersion(momentum_grid(size), 1.0).ravel()
     assert abs(energies.sum()) < 1e-10
     assert np.allclose(np.sort(energies), -np.sort(-energies)[::-1])
 
@@ -109,8 +112,6 @@ def test_deterministic_ordering():
     [
         HarmonicTrap(level_spacing=1.0, n_max=-1),
         HarmonicTrap(level_spacing=-0.5, n_max=3),
-        LatticeDispersion(5, 1.0),
-        LatticeDispersion(0, 1.0),
         FreeSpaceGrid(half_width=0),
         FreeSpaceGrid(energy_unit=0.0),
         FreeSpaceContinuum(energy_cutoff=-1.0),
