@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lattice, occupancy, oracle, spectra, spinmoments
-from .occupancy import DomainError, NoConvergence, OccupationTable
+from . import lattice, oracle, spectra, spinmoments
+from .occupancy import DomainError, NoConvergence
 from .rng import Lcg64
 
 EXIT_OK = 0
@@ -240,36 +240,6 @@ def _sample_bose_ensemble(gen):
     )
 
 
-def closed_form_moments(ens):
-    """Wick-route moments of a few-mode ensemble, for oracle comparison."""
-    energies = np.array(ens.energies, dtype=float)
-    params = occupancy.GasParameters(
-        ens.statistics, 1.0 / ens.beta, mu=ens.mu, field=ens.field
-    )
-    table = OccupationTable(
-        energies,
-        np.ones_like(energies),
-        occupancy.occupation(energies, params, occupancy.SPIN_UP),
-        occupancy.occupation(energies, params, occupancy.SPIN_DOWN),
-    )
-    return spinmoments.collective_variances(table, params.eta)
-
-
-def oracle_deviation(ens):
-    """Max relative deviation between exact and closed-form moments."""
-    exact = oracle.exact_moments(ens).moments
-    wick = closed_form_moments(ens)
-    dev = 0.0
-    for a, b in (
-        (exact.mean_n, wick.mean_n),
-        (exact.mean_jz, wick.mean_jz),
-        (exact.var_jx, wick.var_jx),
-        (exact.var_jz, wick.var_jz),
-    ):
-        dev = max(dev, abs(a - b) / max(1.0, abs(a), abs(b)))
-    return dev
-
-
 FERMI_ORACLE_RTOL = 1e-10
 BOSE_ORACLE_RTOL = 1e-6
 
@@ -280,13 +250,13 @@ def run_validate(cfg):
     failures = 0
     for i in range(cfg.samples_fermi):
         ens = _sample_fermi_ensemble(gen)
-        dev = oracle_deviation(ens)
+        dev = oracle.oracle_deviation(ens)
         ok = dev < FERMI_ORACLE_RTOL
         failures += not ok
         rows.append((i, 0, len(ens.energies), dev, int(ok)))
     for i in range(cfg.samples_bose):
         ens = _sample_bose_ensemble(gen)
-        dev = oracle_deviation(ens)
+        dev = oracle.oracle_deviation(ens)
         ok = dev < BOSE_ORACLE_RTOL
         failures += not ok
         rows.append((cfg.samples_fermi + i, 1, len(ens.energies), dev, int(ok)))

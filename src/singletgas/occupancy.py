@@ -35,7 +35,7 @@ class GasParameters:
 
     ``statistics`` is "fermi" or "bose".  Fermi gases carry an explicit
     chemical potential; Bose gases are specified by a fugacity
-    z = exp(beta * mu_tilde) with mu_tilde measured from the lowest level,
+    z = exp(beta * mu_tilde) with mu_tilde measured from the band bottom,
     resolved to a chemical potential once a spectrum is known.
     """
 
@@ -69,20 +69,20 @@ class GasParameters:
     def bose(cls, temperature, fugacity, field=0.0):
         return cls("bose", temperature, fugacity=fugacity, field=field)
 
-    def resolved(self, energy_min):
+    def resolved(self, bottom):
         """Turn a fugacity-specified Bose gas into one with an explicit mu.
 
         Rejects parameters whose most populated spin branch would reach or
-        exceed the lowest level, at a relative margin of 1e-12.
+        exceed ``bottom`` (``spectra.band_bottom``), at a relative margin 1e-12.
         """
         if self.mu is not None:
             return self
-        mu = energy_min + self.temperature * math.log(self.fugacity)
+        mu = bottom + self.temperature * math.log(self.fugacity)
         top = mu + abs(self.field) / 2.0
-        if top > energy_min - BOSE_MARGIN * max(1.0, abs(energy_min)) - \
+        if top > bottom - BOSE_MARGIN * max(1.0, abs(bottom)) - \
                 BOSE_MARGIN * self.temperature:
             raise DomainError(
-                f"Bose branch chemical potential {top} reaches lowest level {energy_min}"
+                f"Bose branch chemical potential {top} reaches band bottom {bottom}"
             )
         return replace(self, mu=mu)
 
@@ -112,7 +112,7 @@ def occupation(energy, params, sigma=SPIN_UP):
     error (diverging or negative occupation).
     """
     if params.mu is None:
-        raise ValueError("unresolved Bose parameters; call params.resolved(e_min)")
+        raise ValueError("unresolved Bose parameters; call params.resolved(bottom)")
     x = np.asarray(
         (np.asarray(energy, dtype=float) - sigma * params.field - params.mu)
         / params.temperature
@@ -144,7 +144,7 @@ def build_occupation_table(model, params):
         model, params.temperature, mu=probe_mu, field=params.field
     )
     energies, weights = spectra.enumerate_levels(concrete)
-    params = params.resolved(float(energies.min()))
+    params = params.resolved(spectra.band_bottom(concrete))
     try:
         n_up = occupation(energies, params, SPIN_UP)
         n_down = occupation(energies, params, SPIN_DOWN)

@@ -15,11 +15,12 @@ diagonal in the occupation basis (no fermionic sign strings arise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .occupancy import DomainError, NoConvergence
+from . import occupancy, spinmoments
+from .occupancy import DomainError, NoConvergence, OccupationTable
 from .spinmoments import InequalityCheck, SpinMoments, tightest_permutations
 
 MAX_FERMI_MODES = 6
@@ -164,13 +165,9 @@ def _exact_report(ens):
     n_over = float((w2 * n_vals * inv).sum() / (2.0 * z2))
     nn2_over = float((w2 * n_vals * (n_vals - 2.0) * inv).sum() / (4.0 * z2))
 
-    variances = {"x": sector.var_jx, "y": sector.var_jy, "z": sector.var_jz}
-    total = sum(variances.values())
-    ineq_sum = InequalityCheck(
-        total, sector.mean_n / 2.0, total >= sector.mean_n / 2.0, "exact"
-    )
-    single, pair = tightest_permutations(
-        variances,
+    ineq_sum, single, pair = tightest_permutations(
+        sector.mean_n,
+        {"x": sector.var_jx, "y": sector.var_jy, "z": sector.var_jz},
         {"x": jx2_over, "y": jx2_over, "z": jz2_over},
         n_over,
         nn2_over,
@@ -205,8 +202,6 @@ def exact_moments(ens):
     """
     if ens.statistics == "fermi":
         return _exact_report(ens)
-    from dataclasses import replace
-
     cut = ens.n_cut
     while cut <= MAX_BOSE_CUTOFF:
         report = _exact_report(replace(ens, n_cut=cut))
@@ -217,3 +212,33 @@ def exact_moments(ens):
     raise NoConvergence(
         f"boson occupation cutoff did not converge below {MAX_BOSE_CUTOFF}"
     )
+
+
+def closed_form_moments(ens):
+    """Wick-route moments of a few-mode ensemble, for oracle comparison."""
+    energies = np.array(ens.energies, dtype=float)
+    params = occupancy.GasParameters(
+        ens.statistics, 1.0 / ens.beta, mu=ens.mu, field=ens.field
+    )
+    table = OccupationTable(
+        energies,
+        np.ones_like(energies),
+        occupancy.occupation(energies, params, occupancy.SPIN_UP),
+        occupancy.occupation(energies, params, occupancy.SPIN_DOWN),
+    )
+    return spinmoments.collective_variances(table, params.eta)
+
+
+def oracle_deviation(ens):
+    """Max relative deviation between exact and closed-form moments."""
+    exact = exact_moments(ens).moments
+    wick = closed_form_moments(ens)
+    dev = 0.0
+    for a, b in (
+        (exact.mean_n, wick.mean_n),
+        (exact.mean_jz, wick.mean_jz),
+        (exact.var_jx, wick.var_jx),
+        (exact.var_jz, wick.var_jz),
+    ):
+        dev = max(dev, abs(a - b) / max(1.0, abs(a), abs(b)))
+    return dev

@@ -96,11 +96,16 @@ def resolve_model(model, temperature, mu=1.0, field=0.0):
     return model
 
 
+def band_bottom(model):
+    """Band bottom, the zero of Bose fugacities: 1.5 spacings in the trap, else 0."""
+    return 1.5 * model.level_spacing if isinstance(model, HarmonicTrap) else 0.0
+
+
 def enumerate_levels(model):
     """Materialize a spectrum as two arrays (energies, weights).
 
-    Ordering is deterministic: ascending energy, ties broken by the
-    lexicographic order of the quantum numbers.
+    Energies ascend.  Discrete models return distinct energies with their
+    integer degeneracies as weights; the continuum returns quadrature nodes.
     """
     if isinstance(model, FreeSpaceGrid):
         return _grid_levels(model)
@@ -117,12 +122,11 @@ def _grid_levels(model):
         raise ValueError(f"grid half-width must be positive, got {w}")
     if model.energy_unit <= 0:
         raise ValueError(f"energy unit must be positive, got {model.energy_unit}")
-    n = np.arange(-w, w)
-    nx, ny, nz = np.meshgrid(n, n, n, indexing="ij")
-    nx, ny, nz = nx.ravel(), ny.ravel(), nz.ravel()
-    energies = model.energy_unit * (nx**2 + ny**2 + nz**2).astype(float)
-    order = np.lexsort((nz, ny, nx, energies))
-    return energies[order], np.ones_like(energies)
+    # states per n^2 on one axis, convolved over three: states per shell s
+    axis = np.bincount(np.arange(-w, w) ** 2)
+    counts = np.convolve(np.convolve(axis, axis), axis)
+    shells = np.flatnonzero(counts)
+    return model.energy_unit * shells, counts[shells].astype(float)
 
 
 def _continuum_levels(model):

@@ -93,15 +93,19 @@ def xi_squared(moments):
     )
 
 
-def tightest_permutations(variances, second_over, n_over, nn2_over, approximation):
-    """Inequalities 2 and 3, each at its axis permutation of smallest margin.
+def tightest_permutations(n, variances, second_over, n_over, nn2_over, approximation):
+    """Inequalities 1-3, with 2 and 3 at their axis permutation of smallest margin.
 
-    ``variances`` and ``second_over`` map the axes "x", "y", "z" to Var(J^a)
-    and <(J^a)^2 / (N - 1)>; ``n_over`` is <N / (N - 1)> / 2 and
-    ``nn2_over`` is <N (N - 2) / (N - 1)> / 4.  Inequality 2 reads
-    Var(J^a) >= second_over[b] + second_over[c] - n_over, inequality 3
-    Var(J^a) + Var(J^b) >= second_over[c] + nn2_over.
+    ``n`` is <N>; ``variances`` and ``second_over`` map the axes "x", "y", "z"
+    to Var(J^a) and <(J^a)^2 / (N - 1)>; ``n_over`` is <N / (N - 1)> / 2 and
+    ``nn2_over`` is <N (N - 2) / (N - 1)> / 4.  Inequality 1 reads
+    sum_a Var(J^a) >= n / 2; it is linear in the moments, so always "exact".
+    Inequality 2 reads Var(J^a) >= second_over[b] + second_over[c] - n_over,
+    inequality 3 Var(J^a) + Var(J^b) >= second_over[c] + nn2_over; both carry
+    ``approximation``.
     """
+    total = sum(variances.values())
+    ineq_sum = InequalityCheck(total, n / 2.0, total >= n / 2.0, "exact")
 
     def tightest(sides):
         lhs, rhs = min(sides, key=lambda lr: lr[0] - lr[1])
@@ -115,7 +119,7 @@ def tightest_permutations(variances, second_over, n_over, nn2_over, approximatio
         (variances[a] + variances[b], second_over[c] + nn2_over)
         for a, b, c in (("x", "y", "z"), ("x", "z", "y"), ("y", "z", "x"))
     )
-    return single, pair
+    return ineq_sum, single, pair
 
 
 def witness_report(moments):
@@ -135,13 +139,9 @@ def witness_report(moments):
         "y": moments.var_jy,
         "z": moments.var_jz + moments.mean_jz**2,
     }
-    total_var = sum(variances.values())
-    ineq_sum = InequalityCheck(
-        lhs=total_var, rhs=n / 2.0, satisfied=total_var >= n / 2.0,
-        approximation="exact",
-    )
     denom = n - 1.0
-    single, pair = tightest_permutations(
+    ineq_sum, single, pair = tightest_permutations(
+        n,
         variances,
         {axis: value / denom for axis, value in second.items()},
         n / (2.0 * denom),

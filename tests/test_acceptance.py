@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from singletgas import cli, lattice, occupancy, spinmoments
+from singletgas import cli, lattice, occupancy, oracle, spinmoments
 from singletgas.occupancy import GasParameters, build_occupation_table, total_number
 from singletgas.rng import Lcg64
 from singletgas.spectra import FreeSpaceContinuum, FreeSpaceGrid, HarmonicTrap
@@ -142,10 +142,10 @@ def test_criterion_6_oracle_equivalence():
     start = time.perf_counter()
     gen = Lcg64(6)
     worst_fermi = max(
-        cli.oracle_deviation(cli._sample_fermi_ensemble(gen)) for _ in range(100)
+        oracle.oracle_deviation(cli._sample_fermi_ensemble(gen)) for _ in range(100)
     )
     worst_bose = max(
-        cli.oracle_deviation(cli._sample_bose_ensemble(gen)) for _ in range(20)
+        oracle.oracle_deviation(cli._sample_bose_ensemble(gen)) for _ in range(20)
     )
     elapsed = time.perf_counter() - start
     ok = worst_fermi < 1e-10 and worst_bose < 1e-6

@@ -49,6 +49,19 @@ def test_bose_fugacity_guard():
         build_occupation_table(FreeSpaceContinuum(), params)
 
 
+@pytest.mark.parametrize(
+    "z,expected",
+    # Gamma(3/2) Li_{3/2}(z), from 30-digit mpmath
+    [(0.5, 0.5537473918702932), (0.8, 1.1153789508215015), (0.95, 1.669790960658655)],
+)
+def test_bose_continuum_number_matches_polylog(z, expected):
+    # N_up = int_0^inf sqrt(e) de / (exp(e / T) / z - 1)
+    #      = Gamma(3/2) T^{3/2} Li_{3/2}(z), with the DOS prefactor set to 1
+    params = GasParameters.bose(temperature=1.0, fugacity=z)
+    table = build_occupation_table(FreeSpaceContinuum(), params)
+    assert total_number(table).up == pytest.approx(expected, rel=0.01)
+
+
 def test_saturation_guards():
     params = GasParameters.fermi(temperature=1e-4, mu=0.0)
     assert occupation(1000.0, params) == 0.0

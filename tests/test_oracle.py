@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from singletgas.cli import closed_form_moments, oracle_deviation
 from singletgas.occupancy import DomainError
-from singletgas.oracle import FockEnsemble, exact_moments
+from singletgas.oracle import (
+    FockEnsemble,
+    closed_form_moments,
+    exact_moments,
+    oracle_deviation,
+)
 from singletgas.rng import Lcg64
 
 

@@ -43,11 +43,20 @@ def test_lattice_dispersion_points(k, expected):
     assert lattice_dispersion(k, 1.0) == pytest.approx(expected, abs=1e-12)
 
 
-def test_grid_emits_30_cubed_levels():
-    energies, weights = enumerate_levels(FreeSpaceGrid(half_width=15))
-    assert len(energies) == 27000
-    assert np.all(weights == 1.0)
-    assert np.all(np.diff(energies) >= 0)
+@pytest.mark.parametrize("w", [1, 6, 15])
+def test_grid_shells_match_state_cube(w):
+    # brute force: every state of the (2w)^3 cube, grouped by energy
+    model = FreeSpaceGrid(half_width=w)
+    n = np.arange(-w, w)
+    nx, ny, nz = np.meshgrid(n, n, n, indexing="ij")
+    shells, counts = np.unique((nx**2 + ny**2 + nz**2).ravel(), return_counts=True)
+    energies, weights = enumerate_levels(model)
+    assert np.array_equal(energies, model.energy_unit * shells)
+    assert np.array_equal(weights, counts)
+    assert weights.sum() == (2 * w) ** 3
+    assert np.all(np.diff(energies) > 0)
+    if w == 15:
+        assert len(energies) == 402
 
 
 def test_grid_energy_scale():

@@ -178,6 +178,13 @@ def test_free_space_threshold():
     assert t_star == pytest.approx(1.12, abs=0.02)
 
 
+def test_free_space_threshold_pinned_polylog():
+    # root of (3/2) Li_{1/2}(-e^{1/T}) / Li_{3/2}(-e^{1/T}) = 1, from
+    # 30-digit mpmath: 1.116339099141147
+    t_star = find_threshold(FreeSpaceContinuum(), 0.0)
+    assert t_star == pytest.approx(1.11633910, abs=1e-5)
+
+
 def test_threshold_shrinks_with_polarization():
     t0 = find_threshold(FreeSpaceContinuum(), 0.0)
     t_half = find_threshold(FreeSpaceContinuum(), 0.5)
