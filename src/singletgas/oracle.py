@@ -1,21 +1,28 @@
 """Exact grand-canonical collective-spin moments for few-mode systems.
 
 Ground truth for the closed-form variances and for the unapproximated
-nonlinear separability inequalities: every occupation configuration of a
-(truncated) Fock space is enumerated, mode by mode, and moments are taken
-as explicit weighted traces.  Nothing here uses Wick factorization, so
-agreement with ``spinmoments.collective_variances`` is a genuine check.
+nonlinear separability inequalities: moments are explicit weighted traces
+over the (truncated) Fock space.  The sum over occupation configurations
+is only regrouped, never approximated.  The thermal state of an ideal gas
+is a product over (mode, spin) orbitals, so the weight of each
+(N_up, N_dn) sector is the outer product of two 1-D convolutions of the
+per-orbital Boltzmann factors, one per spin.
 
 Only diagonal operators and within-mode spin flips appear; (J^x)^2 and
 (J^y)^2 reduce to sums of per-mode diagonal matrix elements because the
 cross terms move particles between modes and the thermal state is
-diagonal in the occupation basis (no fermionic sign strings arise).
+diagonal in the occupation basis (no fermionic sign strings arise).  The
+per-mode element (n_up + n_dn + 2 eta n_up n_dn) / 4 sums to N / 4 plus
+one product term per mode, each again a pair of convolutions with that
+mode's factor weighted by its occupation.  No pair of operators is
+contracted (no Wick factorization), so agreement with
+``spinmoments.collective_variances`` is a genuine check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -43,6 +50,8 @@ class FockEnsemble:
     def __post_init__(self):
         if self.statistics not in ("fermi", "bose"):
             raise ValueError(f"unknown statistics {self.statistics!r}")
+        if not np.isfinite([*self.energies, self.beta, self.mu, self.field]).all():
+            raise ValueError("energies, beta, mu and field must be finite")
         if self.beta <= 0:
             raise ValueError(f"inverse temperature must be positive, got {self.beta}")
         limit = MAX_FERMI_MODES if self.statistics == "fermi" else MAX_BOSE_MODES
@@ -83,58 +92,27 @@ class ExactReport:
         return (self.inequality_sum, self.inequality_single, self.inequality_pair)
 
 
-def _mode_entries(ens, eps):
-    """Configurations (n, 2jz, weight, diag (jx)^2) of one motional mode.
-
-    Weights are normalized to the largest configuration weight of the
-    mode; all computed quantities are weight ratios.
-    """
-    e_up = eps - 0.5 * ens.field - ens.mu
-    e_dn = eps + 0.5 * ens.field - ens.mu
-    occs = range(2) if ens.statistics == "fermi" else range(ens.n_cut + 1)
-    entries = []
-    for nu in occs:
-        for nd in occs:
-            logw = -ens.beta * (e_up * nu + e_dn * nd)
-            if ens.statistics == "fermi":
-                jx2 = 0.25 * (nu * (1 - nd) + nd * (1 - nu))
-            else:
-                jx2 = 0.25 * (nu * (nd + 1) + nd * (nu + 1))
-            entries.append((nu + nd, nu - nd, logw, jx2))
-    top = max(e[2] for e in entries)
-    return [(n, k, math.exp(logw - top), jx2) for n, k, logw, jx2 in entries]
-
-
-def _joint_tables(ens):
-    """Weight table W[N, K] (K = 2 Jz + offset) and the companion table X
-    accumulating the weighted per-mode diagonal of (J^x)^2."""
-    weights = np.ones((1, 1))
-    accum = np.zeros((1, 1))
-    cur = 0
+def _spin_products(ens, shift):
+    """Weights of the total count of one spin species (level shift
+    ``shift``), and row m of the same with mode m's factor weighted by its
+    occupation."""
+    occ = np.arange(2 if ens.statistics == "fermi" else ens.n_cut + 1)
+    factors = []
     for eps in ens.energies:
-        entries = _mode_entries(ens, eps)
-        step = max(n for n, _, _, _ in entries)
-        new = cur + step
-        w_next = np.zeros((new + 1, 2 * new + 1))
-        x_next = np.zeros_like(w_next)
-        for n, k, w, jx2 in entries:
-            rows = slice(n, n + cur + 1)
-            cols = slice(new - cur + k, new + cur + 1 + k)
-            w_next[rows, cols] += w * weights
-            x_next[rows, cols] += w * (accum + jx2 * weights)
-        weights, accum, cur = w_next, x_next, new
-    return weights, accum, cur
+        logw = -ens.beta * (eps + shift - ens.mu) * occ
+        factors.append(np.exp(logw - logw.max()))
+    marked = [
+        reduce(np.convolve, factors[:m] + [occ * f] + factors[m + 1 :])
+        for m, f in enumerate(factors)
+    ]
+    return reduce(np.convolve, factors), np.array(marked)
 
 
-def _moments_from_tables(weights, accum, n_max, restrict=0):
-    w = weights[restrict:]
-    x = accum[restrict:]
+def _moments(w, x, n, jz):
     z = w.sum()
-    n_vals = np.arange(restrict, n_max + 1, dtype=float)[:, None]
-    jz_vals = 0.5 * (np.arange(2 * n_max + 1, dtype=float) - n_max)[None, :]
-    mean_n = float((w * n_vals).sum() / z)
-    mean_jz = float((w * jz_vals).sum() / z)
-    mean_jz2 = float((w * jz_vals**2).sum() / z)
+    mean_n = float((w * n).sum() / z)
+    mean_jz = float((w * jz).sum() / z)
+    mean_jz2 = float((w * jz**2).sum() / z)
     var_jx = float(x.sum() / z)  # <(Jx)^2>, and <Jx> = 0 identically
     return SpinMoments(
         mean_n=mean_n,
@@ -147,23 +125,28 @@ def _moments_from_tables(weights, accum, n_max, restrict=0):
 
 
 def _exact_report(ens):
-    weights, accum, n_max = _joint_tables(ens)
-    z = weights.sum()
-    moments = _moments_from_tables(weights, accum, n_max)
+    up, a = _spin_products(ens, -0.5 * ens.field)
+    dn, b = _spin_products(ens, 0.5 * ens.field)
+    n_up = np.arange(up.size, dtype=float)[:, None]
+    n_dn = np.arange(dn.size, dtype=float)[None, :]
+    n = n_up + n_dn
+    jz = 0.5 * (n_up - n_dn)
+    weights = np.outer(up, dn)
+    eta = -1.0 if ens.statistics == "fermi" else 1.0
+    # per-mode diagonal (Jx)^2 = (n_up + n_dn + 2 eta n_up n_dn) / 4: the
+    # linear terms sum to N / 4 over the modes, the product terms to A^T B
+    accum = 0.25 * n * weights + 0.5 * eta * (a.T @ b)
+    moments = _moments(weights, accum, n, jz)
 
-    w2 = weights[2:]
-    x2 = accum[2:]
+    sel = n >= 2
+    w2, x2, n2, jz2 = weights[sel], accum[sel], n[sel], jz[sel]
     z2 = w2.sum()
-    weight_low = float(1.0 - z2 / z)
-    sector = _moments_from_tables(weights, accum, n_max, restrict=2)
-
-    n_vals = np.arange(2, n_max + 1, dtype=float)[:, None]
-    jz_vals = 0.5 * (np.arange(2 * n_max + 1, dtype=float) - n_max)[None, :]
-    inv = 1.0 / (n_vals - 1.0)
+    sector = _moments(w2, x2, n2, jz2)
+    inv = 1.0 / (n2 - 1.0)
     jx2_over = float((x2 * inv).sum() / z2)
-    jz2_over = float((w2 * jz_vals**2 * inv).sum() / z2)
-    n_over = float((w2 * n_vals * inv).sum() / (2.0 * z2))
-    nn2_over = float((w2 * n_vals * (n_vals - 2.0) * inv).sum() / (4.0 * z2))
+    jz2_over = float((w2 * jz2**2 * inv).sum() / z2)
+    n_over = float((w2 * n2 * inv).sum() / (2.0 * z2))
+    nn2_over = float((w2 * n2 * (n2 - 2.0) * inv).sum() / (4.0 * z2))
 
     ineq_sum, single, pair = tightest_permutations(
         sector.mean_n,
@@ -176,7 +159,7 @@ def _exact_report(ens):
     return ExactReport(
         moments=moments,
         sector_moments=sector,
-        weight_n_le_1=weight_low,
+        weight_n_le_1=float(1.0 - z2 / weights.sum()),
         inequality_sum=ineq_sum,
         inequality_single=single,
         inequality_pair=pair,

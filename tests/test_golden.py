@@ -60,10 +60,10 @@ DIGESTS = {
         "out.json": "3f760474264911c2381d544edce669d06c472b00aea9bb4efdd1e3cfad5d6661",
     },
     ("validate", "csv"): {
-        "out.csv": "2cf06af70e3efbd6203422c010fa530fcce729df969f0bc177383a96772a54fb",
+        "out.csv": "baf3bf95264d30fd714d9afd88decc43be32ab994c5bb816250bdb4348551e92",
     },
     ("validate", "json"): {
-        "out.json": "21ab510db2e3228bc6c2401cebe410c76327909dc423517a06625dd95ca5f69f",
+        "out.json": "ded60bc01351656330afd6441f47ab86f86914c5b643f0135329c0863b5c2f52",
     },
 }
 

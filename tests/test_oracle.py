@@ -1,6 +1,12 @@
+import itertools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from singletgas import oracle
 from singletgas.occupancy import DomainError
 from singletgas.oracle import (
     FockEnsemble,
@@ -9,6 +15,7 @@ from singletgas.oracle import (
     oracle_deviation,
 )
 from singletgas.rng import Lcg64
+from singletgas.spinmoments import SpinMoments, tightest_permutations
 
 
 def test_single_fermi_mode_equal_weights():
@@ -132,3 +139,157 @@ def test_bose_cutoff_convergence_loop():
     b = exact_moments(hard).moments
     assert a.mean_n == pytest.approx(b.mean_n, rel=1e-9)
     assert a.var_jx == pytest.approx(b.var_jx, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "statistics, changes",
+    [
+        ("fermi", {"beta": math.nan}),
+        ("fermi", {"beta": math.inf}),
+        ("fermi", {"mu": math.nan}),
+        ("fermi", {"mu": -math.inf}),
+        ("fermi", {"energies": (0.1, math.nan)}),
+        ("fermi", {"energies": (math.inf, 0.3)}),
+        ("fermi", {"field": math.nan}),
+        ("fermi", {"field": math.inf}),
+        ("bose", {"beta": math.nan}),
+        ("bose", {"mu": math.nan}),
+        ("bose", {"mu": -math.inf}),
+        ("bose", {"energies": (0.5, math.inf)}),
+        ("bose", {"field": math.nan}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]}" for k in v),
+)
+def test_non_finite_inputs_rejected(statistics, changes):
+    kwargs = {"energies": (0.1, 0.3), "beta": 1.0, "mu": -0.5, "field": 0.2}
+    kwargs.update(changes)
+    with pytest.raises(ValueError):
+        FockEnsemble(statistics, **kwargs)
+
+
+def _brute_force_report(ens):
+    """Every field of an ExactReport by enumerating each (n_up, n_dn) per
+    mode at the ensemble's own cutoff: a reference independent of the
+    oracle's per-spin factorization."""
+    occs = range(2) if ens.statistics == "fermi" else range(ens.n_cut + 1)
+    rows = []
+    for config in itertools.product(
+        itertools.product(occs, occs), repeat=len(ens.energies)
+    ):
+        logw = jx2 = 0.0
+        for eps, (nu, nd) in zip(ens.energies, config):
+            logw -= ens.beta * (
+                (eps - 0.5 * ens.field - ens.mu) * nu
+                + (eps + 0.5 * ens.field - ens.mu) * nd
+            )
+            # <n_up n_dn| J+ J- + J- J+ |n_up n_dn> / 4 within the mode
+            if ens.statistics == "fermi":
+                jx2 += 0.25 * (nu * (1 - nd) + nd * (1 - nu))
+            else:
+                jx2 += 0.25 * (nu * (nd + 1) + nd * (nu + 1))
+        n = sum(nu + nd for nu, nd in config)
+        jz = 0.5 * sum(nu - nd for nu, nd in config)
+        rows.append((logw, n, jz, jx2))
+    top = max(r[0] for r in rows)
+    w, n, jz, jx2 = (np.array(c) for c in zip(*rows))
+    w = np.exp(w - top)
+
+    def moments(sel):
+        z = w[sel].sum()
+        mean_n = (w * n)[sel].sum() / z
+        mean_jz = (w * jz)[sel].sum() / z
+        var_jx = (w * jx2)[sel].sum() / z
+        return SpinMoments(
+            mean_n=mean_n,
+            mean_jz=mean_jz,
+            var_jx=var_jx,
+            var_jy=var_jx,
+            var_jz=(w * jz**2)[sel].sum() / z - mean_jz**2,
+            polarization=2.0 * mean_jz / mean_n,
+        )
+
+    sel = n >= 2
+    sector = moments(sel)
+    ws, ns = w[sel], n[sel]
+    z2 = ws.sum()
+    jx2_over = (ws * jx2[sel] / (ns - 1)).sum() / z2
+    jz2_over = (ws * jz[sel] ** 2 / (ns - 1)).sum() / z2
+    checks = tightest_permutations(
+        sector.mean_n,
+        {"x": sector.var_jx, "y": sector.var_jy, "z": sector.var_jz},
+        {"x": jx2_over, "y": jx2_over, "z": jz2_over},
+        (ws * ns / (ns - 1)).sum() / (2.0 * z2),
+        (ws * ns * (ns - 2) / (ns - 1)).sum() / (4.0 * z2),
+        "exact",
+    )
+    return moments(np.ones_like(sel)), sector, 1.0 - z2 / w.sum(), checks
+
+
+BRUTE_FORCE_ENSEMBLES = [
+    FockEnsemble("fermi", (0.3,), beta=2.0, mu=0.5, field=0.4),
+    FockEnsemble("fermi", (-0.4, 0.2), beta=3.0, mu=0.1, field=0.0),
+    FockEnsemble("fermi", (-0.7, -0.1, 0.6), beta=1.5, mu=0.0, field=0.8),
+    FockEnsemble("fermi", (-1.0, -0.8, -0.5), beta=20.0, mu=0.0, field=0.3),
+    FockEnsemble("bose", (0.4,), beta=1.0, mu=-0.2, field=0.3, n_cut=8),
+    FockEnsemble("bose", (0.2, 0.9), beta=1.5, mu=-0.3, field=0.2, n_cut=6),
+    FockEnsemble("bose", (0.5, 0.6), beta=0.8, mu=0.0, field=0.0, n_cut=8),
+]
+
+
+@pytest.mark.parametrize("ens", BRUTE_FORCE_ENSEMBLES)
+def test_exact_report_matches_brute_force(ens):
+    # at the ensemble's own cutoff: the cutoff-doubling loop is not involved
+    report = oracle._exact_report(ens)
+    moments, sector, weight_low, checks = _brute_force_report(ens)
+
+    def close(a, b):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+    for got, want in ((report.moments, moments), (report.sector_moments, sector)):
+        for field in SpinMoments.__dataclass_fields__:
+            close(getattr(got, field), getattr(want, field))
+    close(report.weight_n_le_1, weight_low)
+    for got, want in zip(report.checks, checks):
+        close(got.lhs, want.lhs)
+        close(got.rhs, want.rhs)
+        assert got.satisfied == want.satisfied
+
+
+@st.composite
+def field_ensembles(draw):
+    """Sampler-like ensembles of either statistics at a field H > 0."""
+    h = draw(st.floats(0.05, 1.0))
+    if draw(st.booleans()):
+        energies = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+        beta, mu = draw(st.floats(0.2, 5.0)), draw(st.floats(-1.0, 1.0))
+        return FockEnsemble("fermi", tuple(energies), beta=beta, mu=mu, field=h)
+    energies = draw(st.lists(st.floats(0.2, 1.5), min_size=1, max_size=2))
+    beta = draw(st.floats(0.5, 3.0))
+    mu = min(energies) - h / 2.0 - draw(st.floats(0.3, 3.0)) / beta
+    return FockEnsemble("bose", tuple(energies), beta=beta, mu=mu, field=h)
+
+
+def _both_routes(ens):
+    return exact_moments(ens).moments, closed_form_moments(ens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ens=field_ensembles())
+def test_detailed_balance_transverse_variance(ens):
+    # detailed balance on J+ and J-, whose thermal weights differ by
+    # exp(-beta H): Var(Jx) = <Jz> / (2 tanh(beta H / 2))
+    for m in _both_routes(ens):
+        expected = m.mean_jz / (2.0 * math.tanh(0.5 * ens.beta * ens.field))
+        assert abs(m.var_jx - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ens=field_ensembles())
+def test_fluctuation_dissipation_longitudinal_variance(ens):
+    # Var(Jz) = T d<Jz>/dH, the derivative by central difference
+    step = 1e-5
+    up = _both_routes(replace(ens, field=ens.field + step))
+    dn = _both_routes(replace(ens, field=ens.field - step))
+    for m, a, b in zip(_both_routes(ens), up, dn):
+        expected = (a.mean_jz - b.mean_jz) / (2.0 * step * ens.beta)
+        assert abs(m.var_jz - expected) <= 1e-6 * max(1.0, abs(expected))
