@@ -62,7 +62,8 @@ class RunConfig:
             raise ConfigError(f"unknown spectrum {self.spectrum!r}")
         if len(self.t_bracket) != 2:
             raise ConfigError("t_bracket must hold two temperatures")
-        for name, grid in (("t_grid", self.t_grid), ("p_grid", self.p_grid)):
+        for name in ("t_grid", "p_grid", "t_bracket"):
+            grid = getattr(self, name)
             if not grid:
                 raise ConfigError(f"{name} must be nonempty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -73,9 +74,9 @@ class RunConfig:
         for name in ("p_target", "mu_over_homega", "t_over_j"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        if any(t <= 0 for t in self.t_grid):
+        if any(t <= 0 for t in self.t_grid + self.t_bracket):
             raise ConfigError("temperatures must be positive")
-        if any(not 0.0 <= p < 1.0 for p in self.p_grid):
+        if any(not 0.0 <= p < 1.0 for p in self.p_grid + [self.p_target]):
             raise ConfigError("polarizations must lie in [0, 1)")
         if self.lattice_size <= 0 or self.lattice_size % 2:
             raise ConfigError("lattice_size must be a positive even integer")

@@ -134,17 +134,15 @@ def occupation(energy, params, sigma=SPIN_UP):
 
 
 def build_occupation_table(model, params):
-    """Materialize n_{alpha sigma} over ``spectra.enumerate_levels(model)``.
+    """Materialize n_{alpha sigma} over the spectrum at the point ``params``.
 
-    Adaptive model pieces (trap shell cutoff, continuum quadrature window)
-    are resolved here from the thermodynamic point.
+    Bose gases given by a fugacity are enumerated with the probe mu = 0.
     """
     probe_mu = params.mu if params.mu is not None else 0.0
-    concrete = spectra.resolve_model(
+    energies, weights = spectra.enumerate_levels(
         model, params.temperature, mu=probe_mu, field=params.field
     )
-    energies, weights = spectra.enumerate_levels(concrete)
-    params = params.resolved(spectra.band_bottom(concrete))
+    params = params.resolved(spectra.band_bottom(model))
     try:
         n_up = occupation(energies, params, SPIN_UP)
         n_down = occupation(energies, params, SPIN_DOWN)

@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from . import occupancy, spinmoments
-from .occupancy import DomainError, NoConvergence, OccupationTable
+from .occupancy import DegenerateInputError, DomainError, NoConvergence, OccupationTable
 from .spinmoments import InequalityCheck, SpinMoments, tightest_permutations
 
 MAX_FERMI_MODES = 6
@@ -141,6 +141,8 @@ def _exact_report(ens):
     sel = n >= 2
     w2, x2, n2, jz2 = weights[sel], accum[sel], n[sel], jz[sel]
     z2 = w2.sum()
+    if not z2 > 0:
+        raise DegenerateInputError(f"no weight on the N >= 2 sectors of {ens!r}")
     sector = _moments(w2, x2, n2, jz2)
     inv = 1.0 / (n2 - 1.0)
     jx2_over = float((x2 * inv).sum() / z2)

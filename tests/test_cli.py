@@ -50,6 +50,11 @@ def test_parse_json_config():
         "workflow = freespace\nspectrum = grid\nhalf_width = 0",
         "workflow = validate\nsamples_fermi = -3",
         "workflow = validate\nsamples_bose = -1",
+        "workflow = threshold\np_target = 1.5",
+        "workflow = threshold\np_target = -0.1",
+        "workflow = threshold\nt_bracket = -1, 2",
+        "workflow = threshold\nt_bracket = 2, 0.5",
+        "workflow = threshold\nt_bracket = 0.5, 0.5",
     ],
 )
 def test_bad_configs_rejected(text):

@@ -79,7 +79,8 @@ def test_fermi_particle_hole_relation(delta, t):
 
 def test_sharp_trap_step():
     params = GasParameters.fermi(temperature=0.01, mu=2.0)
-    table = build_occupation_table(HarmonicTrap(level_spacing=1.0, n_max=2), params)
+    table = build_occupation_table(HarmonicTrap(level_spacing=1.0), params)
+    assert len(table.energies) == 5  # shells up to 2 mu / spacing
     assert table.n_up[0] == pytest.approx(1.0, abs=1e-12)
     assert table.n_up[1] < 1e-20
     assert np.array_equal(table.n_up, table.n_down)
@@ -119,7 +120,8 @@ def test_total_number_rejects_empty_gas():
 def test_polarized_limit():
     # field so large the down branch is empty
     params = GasParameters.fermi(temperature=0.05, mu=1.0, field=30.0)
-    table = build_occupation_table(HarmonicTrap(level_spacing=1.0, n_max=6), params)
+    table = build_occupation_table(HarmonicTrap(level_spacing=1.0), params)
+    assert table.n_down[0] < 1e-100  # lowest down level e + H/2 = 16.5, mu = 1
     assert total_number(table).polarization == pytest.approx(1.0, abs=1e-10)
 
 

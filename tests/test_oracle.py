@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singletgas import oracle
-from singletgas.occupancy import DomainError
+from singletgas.occupancy import DegenerateInputError, DomainError
 from singletgas.oracle import (
     FockEnsemble,
     closed_form_moments,
@@ -88,6 +88,13 @@ def test_low_particle_sector_weight_reported():
     assert dilute.weight_n_le_1 > 0.99
     dense = exact_moments(FockEnsemble("fermi", (-2.0,), beta=3.0, mu=0.0))
     assert dense.weight_n_le_1 < 0.01
+
+
+def test_empty_pair_sector_rejected():
+    # beta (eps - mu) = 1200 per particle: the N >= 2 weight underflows to 0
+    ens = FockEnsemble("fermi", (40.0,), beta=30.0, mu=0.0)
+    with pytest.raises(DegenerateInputError, match="FockEnsemble"):
+        exact_moments(ens)
 
 
 def test_exact_bose_inequalities_hold():

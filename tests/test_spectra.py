@@ -9,18 +9,18 @@ from singletgas.spectra import (
     HarmonicTrap,
     enumerate_levels,
     lattice_dispersion,
-    resolve_model,
 )
 
 
 def test_trap_shell_degeneracies():
-    energies, weights = enumerate_levels(HarmonicTrap(level_spacing=1.0, n_max=2))
+    # cold gas: shells up to the floor 2 mu / spacing = 2
+    energies, weights = enumerate_levels(HarmonicTrap(level_spacing=1.0), 0.01)
     assert energies.tolist() == [1.5, 2.5, 3.5]
     assert weights.tolist() == [1.0, 3.0, 6.0]
 
 
 def test_trap_degeneracy_formula():
-    _, weights = enumerate_levels(HarmonicTrap(level_spacing=0.5, n_max=20))
+    _, weights = enumerate_levels(HarmonicTrap(level_spacing=0.5), 0.01, mu=5.0)
     n = np.arange(21)
     assert np.array_equal(weights, (n + 1) * (n + 2) / 2)
 
@@ -50,7 +50,7 @@ def test_grid_shells_match_state_cube(w):
     n = np.arange(-w, w)
     nx, ny, nz = np.meshgrid(n, n, n, indexing="ij")
     shells, counts = np.unique((nx**2 + ny**2 + nz**2).ravel(), return_counts=True)
-    energies, weights = enumerate_levels(model)
+    energies, weights = enumerate_levels(model, 0.5)
     assert np.array_equal(energies, model.energy_unit * shells)
     assert np.array_equal(weights, counts)
     assert weights.sum() == (2 * w) ** 3
@@ -60,7 +60,7 @@ def test_grid_shells_match_state_cube(w):
 
 
 def test_grid_energy_scale():
-    energies, _ = enumerate_levels(FreeSpaceGrid(half_width=15, energy_unit=1 / 30))
+    energies, _ = enumerate_levels(FreeSpaceGrid(half_width=15, energy_unit=1 / 30), 0.5)
     assert energies[0] == 0.0
     # band edge: (-15, -15, -15)
     assert energies[-1] == pytest.approx(3 * 225 / 30)
@@ -74,61 +74,73 @@ def test_lattice_particle_hole_symmetry(size):
 
 
 def test_continuum_weights_positive_and_boundary_at_fermi_edge():
-    model = FreeSpaceContinuum(energy_cutoff=9.0, order=32, breakpoints=(1.0,))
-    energies, weights = enumerate_levels(model)
+    # cutoff mu + 40 T = 9, panels [0, 1], [1, 5], [5, 9]
+    energies, weights = enumerate_levels(FreeSpaceContinuum(), 0.2)
     assert np.all(weights[energies > 0] > 0)
-    assert len(energies) >= 64
+    assert len(energies) == 3 * 32
+    assert np.count_nonzero(energies < 1.0) == 32
     assert np.all(energies < 9.0)
 
 
 def test_continuum_quadrature_integrates_dos():
     # weights embed the sqrt(e) density of states; the branch point at
     # e = 0 limits Gauss-Legendre to algebraic convergence there
-    model = FreeSpaceContinuum(energy_cutoff=4.0, order=48, breakpoints=(1.0,))
-    energies, weights = enumerate_levels(model)
-    assert weights.sum() == pytest.approx(2 / 3 * 4.0**1.5, rel=1e-4)
-    assert np.sum(weights * energies) == pytest.approx(2 / 5 * 4.0**2.5, rel=1e-4)
+    # cutoff mu + 40 T = 4, panel boundaries at 1, 2 and 3
+    energies, weights = enumerate_levels(FreeSpaceContinuum(), 0.05, mu=2.0)
+    assert weights.sum() == pytest.approx(2 / 3 * 4.0**1.5, rel=1e-5)
+    assert np.sum(weights * energies) == pytest.approx(2 / 5 * 4.0**2.5, rel=1e-5)
 
 
 def test_trap_state_count_asymptotics():
     # cumulative count below E approaches E^3 / (6 hw^3)
-    energies, weights = enumerate_levels(HarmonicTrap(level_spacing=1.0, n_max=40))
+    energies, weights = enumerate_levels(HarmonicTrap(level_spacing=1.0), 0.01, mu=20.0)
+    assert len(energies) == 41
     count = weights[energies <= 30.0].sum()
     assert abs(count / (30.0**3 / 6.0) - 1.0) < 0.05
 
 
-def test_resolve_model_trap_cutoff():
-    model = resolve_model(HarmonicTrap(level_spacing=1 / 30), temperature=0.1)
-    assert model.n_max >= 60  # hard floor 2 mu / hw
-    hot = resolve_model(HarmonicTrap(level_spacing=1 / 30), temperature=1.0)
-    assert hot.n_max > model.n_max
+def test_trap_cutoff_follows_temperature():
+    cold, _ = enumerate_levels(HarmonicTrap(level_spacing=1 / 30), 0.1)
+    assert len(cold) >= 61  # hard floor 2 mu / hw = 60
+    hot, _ = enumerate_levels(HarmonicTrap(level_spacing=1 / 30), 1.0)
+    assert len(hot) > len(cold)
+    # at T = mu = 1 the last shell is the first with occupation <= 1e-12
+    tail = np.exp(-(hot[-2:] - 1.0))
+    assert tail[0] > 1e-12 >= tail[1]
 
 
-def test_resolve_model_continuum_window():
-    model = resolve_model(FreeSpaceContinuum(), temperature=0.5, field=1.0)
-    assert model.energy_cutoff == pytest.approx(1.0 + 0.5 + 20.0)
-    assert 0.5 in model.breakpoints and 1.5 in model.breakpoints
+def test_continuum_window_follows_point():
+    energies, weights = enumerate_levels(FreeSpaceContinuum(), 0.5, field=1.0)
+    # cutoff mu + |H|/2 + 40 T = 21.5; spin Fermi edges at 0.5 and 1.5
+    # and 20 T above them at 10.5 and 11.5 split it into five panels
+    assert len(energies) == 5 * 32
+    assert np.count_nonzero(energies < 0.5) == 32
+    assert np.count_nonzero(energies < 1.5) == 64
+    assert np.count_nonzero(energies < 10.5) == 96
+    assert weights.sum() == pytest.approx(2 / 3 * 21.5**1.5, rel=1e-4)
 
 
 def test_deterministic_ordering():
-    a = enumerate_levels(FreeSpaceGrid(half_width=6))
-    b = enumerate_levels(FreeSpaceGrid(half_width=6))
+    a = enumerate_levels(FreeSpaceGrid(half_width=6), 0.5)
+    b = enumerate_levels(FreeSpaceGrid(half_width=6), 0.5)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 @pytest.mark.parametrize(
     "model",
     [
-        HarmonicTrap(level_spacing=1.0, n_max=-1),
-        HarmonicTrap(level_spacing=-0.5, n_max=3),
+        HarmonicTrap(level_spacing=1.0),
+        HarmonicTrap(level_spacing=-0.5),
         FreeSpaceGrid(half_width=0),
         FreeSpaceGrid(energy_unit=0.0),
-        FreeSpaceContinuum(energy_cutoff=-1.0),
+        FreeSpaceContinuum(),
     ],
 )
 def test_invalid_models_rejected(model):
+    # a cold Fermi sea at mu = -5 is empty: the trap shell cutoff and the
+    # continuum window come out negative
     with pytest.raises(ValueError):
-        enumerate_levels(model)
+        enumerate_levels(model, 0.01, mu=-5.0)
 
 
 @given(

@@ -173,6 +173,20 @@ def test_low_t_limit_approaches_total_singlet():
     assert 1.0 - xi_squared(moments) > 0.999
 
 
+@pytest.mark.parametrize(
+    "model",
+    [FreeSpaceContinuum(), FreeSpaceGrid(half_width=8), HarmonicTrap(level_spacing=0.1)],
+    ids=["continuum", "grid", "trap"],
+)
+@pytest.mark.parametrize("t,p", [(0.1, 0.2), (0.5, 0.5), (1.0, 0.8)])
+def test_detailed_balance_gas_models(model, t, p):
+    # SU(2) with a Zeeman field, any spectrum: J+ and J- weights differ by
+    # exp(-H / T), so Var(Jx) = <Jz> / (2 tanh(H / 2T))
+    field, m = moments_at(model, t, p)
+    expected = m.mean_jz / (2.0 * math.tanh(0.5 * field / t))
+    assert m.var_jx == pytest.approx(expected, rel=1e-12)
+
+
 def test_free_space_threshold():
     t_star = find_threshold(FreeSpaceContinuum(), 0.0)
     assert t_star == pytest.approx(1.12, abs=0.02)
