@@ -113,6 +113,15 @@ def parse_config_text(text):
     return data
 
 
+def _number(raw, kind):
+    """``raw`` as ``kind`` (int or float); booleans and fractional ints fail."""
+    if isinstance(raw, bool) or (
+        kind is int and isinstance(raw, float) and not raw.is_integer()
+    ):
+        raise ValueError(f"{raw!r} is not a valid {kind.__name__}")
+    return kind(raw)
+
+
 def build_config(data, overrides=None):
     cfg = RunConfig()
     data = dict(data)
@@ -125,12 +134,10 @@ def build_config(data, overrides=None):
         try:
             if isinstance(current, list):
                 if isinstance(raw, str):
-                    raw = [float(v) for v in raw.split(",") if v.strip()]
-                setattr(cfg, key, [float(v) for v in raw])
-            elif isinstance(current, int) and not isinstance(current, bool):
-                setattr(cfg, key, int(raw))
-            elif isinstance(current, float):
-                setattr(cfg, key, float(raw))
+                    raw = [v for v in raw.split(",") if v.strip()]
+                setattr(cfg, key, [_number(v, float) for v in raw])
+            elif isinstance(current, (int, float)):
+                setattr(cfg, key, _number(raw, type(current)))
             else:
                 setattr(cfg, key, str(raw))
         except (TypeError, ValueError):

@@ -172,11 +172,33 @@ P_TOLERANCE = 1e-8
 MAX_ITERATIONS = 200
 
 
-def solve_field_for_polarization(model, params, p_target):
-    """Zeeman field H >= 0 with P(H) = p_target, by bracketed bisection.
+def _bracketed_root(f, a, b, fa, fb, xtol=0.0, ftol=0.0):
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
 
-    P is monotone in H with P(0) = 0, which anchors the bracket; the upper
-    end is found by doubling.  Fermi statistics only.
+    Illinois false position (Dowell & Jarratt 1971): a secant step that lands
+    on the last point's side halves the retained end's f, so no end stalls.
+    Returns x once f(x) == 0 or |f(x)| < ftol, the midpoint once |b - a| < xtol.
+    """
+    for _ in range(MAX_ITERATIONS):
+        if abs(b - a) < xtol:
+            return 0.5 * (a + b)
+        x = b - fb * (b - a) / (fb - fa)
+        fx = f(x)
+        if fx == 0.0 or abs(fx) < ftol:
+            return x
+        if (fx > 0.0) == (fb > 0.0):
+            fa *= 0.5
+        else:
+            a, fa = b, fb
+        b, fb = x, fx
+    raise NoConvergence(f"root search did not converge in {MAX_ITERATIONS} steps")
+
+
+def solve_field_for_polarization(model, params, p_target):
+    """Zeeman field H >= 0 with |P(H) - p_target| < P_TOLERANCE.
+
+    P is monotone in H with P(0) = 0, which anchors the bracket; the upper end
+    is found by doubling, the root by ``_bracketed_root``.  Fermi statistics only.
     """
     if params.statistics != "fermi":
         raise ValueError("polarization sweeps are defined for Fermi gases only")
@@ -186,23 +208,11 @@ def solve_field_for_polarization(model, params, p_target):
         return 0.0
     hi = params.temperature
     for _ in range(MAX_ITERATIONS):
-        if polarization_at(model, params, hi) >= p_target:
+        p_hi = polarization_at(model, params, hi)
+        if p_hi >= p_target:
             break
         hi *= 2.0
     else:
         raise NoConvergence(f"bracket expansion failed for P={p_target}")
-    lo = 0.0
-    mid = hi
-    for _ in range(MAX_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        p = polarization_at(model, params, mid)
-        if abs(p - p_target) < P_TOLERANCE:
-            return mid
-        if p < p_target:
-            lo = mid
-        else:
-            hi = mid
-    raise NoConvergence(
-        f"bisection did not reach |P - {p_target}| < {P_TOLERANCE} "
-        f"in {MAX_ITERATIONS} iterations"
-    )
+    return _bracketed_root(lambda h: polarization_at(model, params, h) - p_target,
+                           0.0, hi, -p_target, p_hi - p_target, ftol=P_TOLERANCE)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -21,8 +22,17 @@ from numpy.polynomial.legendre import leggauss
 # adaptive cutoffs
 OCC_LOG_GUARD = math.log(1e12)
 
-# Gauss-Legendre rule on [-1, 1] shared by every continuum panel
-GAUSS_RULE = leggauss(32)
+
+@cache
+def _gauss_rule():
+    """Gauss-Legendre rule on [-1, 1] shared by every continuum panel.
+
+    Built on first use, so processes that never enumerate a continuum skip
+    the eigenvalue solve behind ``leggauss``; read-only, as every call shares it.
+    """
+    nodes, weights = leggauss(32)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,7 @@ def _continuum_levels(temperature, mu, field):
         for d in (-spread, 0.0, spread)
     }
     bounds = sorted({0.0, cut, *(p for p in edges if 0.0 < p < cut)})
-    x, w = GAUSS_RULE
+    x, w = _gauss_rule()
     energies, weights = [], []
     for a, b in zip(bounds[:-1], bounds[1:]):
         e = 0.5 * (b - a) * x + 0.5 * (a + b)

@@ -200,10 +200,10 @@ T_TOLERANCE = 1e-6
 
 
 def find_threshold(model, p_target=0.0, t_bracket=(0.02, 2.0), mu=1.0):
-    """Temperature at which f_s(T, P) changes sign, by bisection.
+    """Temperature at which f_s(T, P) changes sign, to within T_TOLERANCE.
 
     The bracket must straddle the zero: f_s > 0 at the lower end and
-    f_s < 0 at the upper end.
+    f_s < 0 at the upper end.  ``_bracketed_root`` narrows it to T_TOLERANCE.
     """
 
     def f_s(t):
@@ -211,14 +211,9 @@ def find_threshold(model, p_target=0.0, t_bracket=(0.02, 2.0), mu=1.0):
         return 1.0 - xi_squared(moments)
 
     lo, hi = t_bracket
-    if not (f_s(lo) > 0.0 > f_s(hi)):
+    f_lo, f_hi = f_s(lo), f_s(hi)
+    if not f_lo > 0.0 > f_hi:
         raise BracketError(
             f"f_s does not change sign on [{lo}, {hi}] at P={p_target}"
         )
-    while hi - lo > T_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        if f_s(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return occupancy._bracketed_root(f_s, lo, hi, f_lo, f_hi, xtol=T_TOLERANCE)

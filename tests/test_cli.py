@@ -55,6 +55,12 @@ def test_parse_json_config():
         "workflow = threshold\nt_bracket = -1, 2",
         "workflow = threshold\nt_bracket = 2, 0.5",
         "workflow = threshold\nt_bracket = 0.5, 0.5",
+        '{"workflow": "lattice", "lattice_size": 64.9}',
+        '{"workflow": "freespace", "spectrum": "grid", "half_width": 2.5}',
+        '{"workflow": "validate", "samples_bose": true}',
+        '{"workflow": "validate", "seed": 1e999}',
+        '{"workflow": "threshold", "p_target": false}',
+        '{"workflow": "freespace", "t_grid": [0.5, true]}',
     ],
 )
 def test_bad_configs_rejected(text):
@@ -185,3 +191,9 @@ def test_seed_flag_overrides_config(tmp_path):
     text = f"workflow = validate\nsamples_fermi = 3\nsamples_bose = 1\nseed = 1\nout = {out}\n"
     assert run_cli(tmp_path, text, "--seed", "42") == 0
     assert "# seed = 42" in out.read_text()
+
+
+def test_integral_json_numbers_accepted():
+    cfg = build_config({"workflow": "lattice", "lattice_size": 8.0, "seed": 3})
+    assert cfg.lattice_size == 8 and type(cfg.lattice_size) is int
+    assert cfg.seed == 3

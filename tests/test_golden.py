@@ -28,16 +28,16 @@ JOBS = {
 
 DIGESTS = {
     ("continuum", "csv"): {
-        "out.csv": "feeaa16d5af67f4696f7b35e6d13e7c8f4927ba6e5922ef3b4dd8cfc22925eb5",
+        "out.csv": "67f35c2daf09e9e7cb220f372bc4c52234409cae839690579d9f7ee16af67027",
     },
     ("continuum", "json"): {
-        "out.json": "694240d479a205a58bf4c644b3d31b86474c25f8bdaef154a8b2c7a7882aefdd",
+        "out.json": "bd14912c717ea8f8a71b22cb9df646dc2846fa68627c9f0a8828dbf37bf7fee5",
     },
     ("grid", "csv"): {
-        "out.csv": "ff4635aa5c034b6be94ec3a31785e6429470e373d022db856e6a3b4e900bdfdf",
+        "out.csv": "e9f475d574a6183eab1d64f2dc513cd08ded170e11c3baa42cd1e9c4953e7402",
     },
     ("grid", "json"): {
-        "out.json": "687a68e8473ed820e484d755313fe74396b0a0ee673477f991d808ff8206300d",
+        "out.json": "65e12bec2e91c5ee3cb8ad635b5b5e5670b3f6dd11bb8e8b15b72598a10921e6",
     },
     ("lattice", "csv"): {
         "out_correlation.csv": "263faa8fb8709339a28409e7ab199801bb34596b3907611a7999579b6e50c27e",
@@ -48,16 +48,16 @@ DIGESTS = {
         "out_structure_factor.json": "49b038f2d2f1dae62148381589e24811775983d0fdef4270433ac6cd5e3f879b",
     },
     ("threshold", "csv"): {
-        "out.csv": "35788108a050113e5ce80d6fb64f09d80da02c2ea5f009a71b3126b92abb5b84",
+        "out.csv": "a38fd6c76e471b1531eed64ad4848a508b03183f330a846aa00d7f3e7a1071c6",
     },
     ("threshold", "json"): {
-        "out.json": "9bbc2578a025ea581fa6ca63365bd87be45e0702ea611b83c4a59133da370422",
+        "out.json": "8c94f08ffb045085faf342702bf0d41e0cb92d52fe0a27c09b96607fe5b49f0c",
     },
     ("trap", "csv"): {
-        "out.csv": "0e303bd45a90cc41395077f40e886d7beda0827d9592c88969aa059cbaed6007",
+        "out.csv": "40a0b8a406efd7b2e14ce30b9a0aba8226dd05ba99428ac01ad6af6ed51534ad",
     },
     ("trap", "json"): {
-        "out.json": "3f760474264911c2381d544edce669d06c472b00aea9bb4efdd1e3cfad5d6661",
+        "out.json": "9b5f962d6b4b773b141075042ce92cf5b886c31e74941e2b87eb3bd9ac9b1bab",
     },
     ("validate", "csv"): {
         "out.csv": "baf3bf95264d30fd714d9afd88decc43be32ab994c5bb816250bdb4348551e92",

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from singletgas import occupancy
 from singletgas.occupancy import (
+    P_TOLERANCE,
     DegenerateInputError,
     DomainError,
     GasParameters,
+    NoConvergence,
     OccupationTable,
     build_occupation_table,
     occupation,
@@ -166,6 +168,59 @@ def test_solve_field_agrees_with_dense_scan():
     grid = np.linspace(0.0, 2.0, 10001)
     p_of_h = [occupancy.polarization_at(model, params, x) for x in grid]
     assert h == pytest.approx(np.interp(0.5, p_of_h, grid), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [FreeSpaceContinuum(), FreeSpaceGrid(), HarmonicTrap()],
+    ids=["continuum", "grid", "trap"],
+)
+def test_solve_field_evaluation_count(model, monkeypatch):
+    # P evaluations per solve, the bracket doubling included; a bisection
+    # to the same tolerance needs 19-33, so only a superlinear search passes
+    evals = []
+    polarization_at = occupancy.polarization_at
+
+    def counted(*args):
+        evals.append(args)
+        return polarization_at(*args)
+
+    monkeypatch.setattr(occupancy, "polarization_at", counted)
+    counts = []
+    for t in (0.05, 0.3, 1.0):
+        for p in (0.1, 0.5, 0.9):
+            params = GasParameters.fermi(temperature=t)
+            evals.clear()
+            h = solve_field_for_polarization(model, params, p)
+            counts.append(len(evals))
+            assert abs(polarization_at(model, params, h) - p) < P_TOLERANCE
+    assert np.mean(counts) <= 12.0
+
+
+def test_bracketed_root_exact_secant_step():
+    evals = []
+
+    def f(x):
+        evals.append(x)
+        return x - 1.0
+
+    assert occupancy._bracketed_root(f, 0.0, 2.0, -1.0, 1.0) == 1.0
+    assert evals == [1.0]
+
+
+def step_at_0_3(x):
+    return -1.0 if x < 0.3 else 1.0
+
+
+def test_bracketed_root_step_converges_to_jump():
+    x = occupancy._bracketed_root(step_at_0_3, 0.0, 1.0, -1.0, 1.0, xtol=1e-9)
+    assert abs(x - 0.3) < 1e-9
+
+
+def test_bracketed_root_step_never_meets_ftol():
+    # |f| = 1 everywhere, so only an xtol can stop the search
+    with pytest.raises(NoConvergence):
+        occupancy._bracketed_root(step_at_0_3, 0.0, 1.0, -1.0, 1.0, ftol=1e-8)
 
 
 def test_solve_field_rejects_bose_and_bad_target():

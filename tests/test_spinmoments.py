@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from singletgas import spinmoments
 from singletgas.occupancy import (
     GasParameters,
     OccupationTable,
@@ -11,6 +12,7 @@ from singletgas.occupancy import (
 )
 from singletgas.spectra import FreeSpaceContinuum, FreeSpaceGrid, HarmonicTrap
 from singletgas.spinmoments import (
+    T_TOLERANCE,
     BracketError,
     SpinMoments,
     collective_variances,
@@ -185,6 +187,82 @@ def test_detailed_balance_gas_models(model, t, p):
     field, m = moments_at(model, t, p)
     expected = m.mean_jz / (2.0 * math.tanh(0.5 * field / t))
     assert m.var_jx == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model,spin_stats",
+    [
+        (FreeSpaceContinuum(), "fermi"),
+        (FreeSpaceGrid(half_width=6), "fermi"),
+        (FreeSpaceGrid(half_width=6), "bose"),
+        (HarmonicTrap(level_spacing=0.1), "fermi"),
+        (HarmonicTrap(level_spacing=0.1), "bose"),
+    ],
+    ids=["continuum-fermi", "grid-fermi", "grid-bose", "trap-fermi", "trap-bose"],
+)
+@pytest.mark.parametrize("t,h", [(0.1, 0.05), (0.5, 0.3), (1.0, 0.5)])
+def test_fluctuation_dissipation_gas_models(model, spin_stats, t, h):
+    # Var(Jz) = T d<Jz>/dH at fixed mu (fixed fugacity for Bose), by a
+    # central difference.  The continuum Bose gas is left out: its sqrt(e)
+    # endpoint limits the quadrature to ~2e-4 here, until the continuum
+    # moves to u = sqrt(e) nodes (ROADMAP item 2).
+    def moments(field):
+        if spin_stats == "fermi":
+            params = GasParameters.fermi(t, mu=1.0, field=field)
+        else:
+            params = GasParameters.bose(t, fugacity=0.5, field=field)
+        return collective_variances(build_occupation_table(model, params), params.eta)
+
+    step = 1e-5
+    slope = (moments(h + step).mean_jz - moments(h - step).mean_jz) / (2.0 * step)
+    assert t * slope == pytest.approx(moments(h).var_jz, rel=1e-6)
+
+
+# T* from the bisection that the Illinois search replaced (midpoint of a
+# bracket narrower than T_TOLERANCE), for the brackets below
+BISECTION_T_STAR = {
+    ("continuum", 0.0): 1.1163434076309202,
+    ("continuum", 0.2): 1.0758606767654415,
+    ("continuum", 0.5): 0.8642124128341674,
+    ("continuum", 0.8): 0.44249448299407956,
+    ("grid", 0.0): 1.1202738523483275,
+    ("grid", 0.2): 1.0788347101211548,
+    ("grid", 0.5): 0.8647175264358521,
+    ("grid", 0.8): 0.44249448299407956,
+    ("trap", 0.0): 0.3644263029098511,
+    ("trap", 0.2): 0.3561962842941284,
+    ("trap", 0.5): 0.30826938152313244,
+    ("trap", 0.8): 0.1795933485031128,
+}
+
+
+@pytest.mark.parametrize(
+    "name,model,t_bracket",
+    [
+        ("continuum", FreeSpaceContinuum(), (0.02, 2.0)),
+        ("grid", FreeSpaceGrid(), (0.02, 2.0)),
+        ("trap", HarmonicTrap(), (0.05, 1.0)),
+    ],
+    ids=["continuum", "grid", "trap"],
+)
+def test_threshold_evaluation_count(name, model, t_bracket, monkeypatch):
+    # f_s evaluations per search, both bracket ends included; a bisection
+    # to T_TOLERANCE needs 22-23, so only a superlinear search passes
+    evals = []
+    real_moments_at = spinmoments.moments_at
+
+    def counted(*args, **kwargs):
+        evals.append(args)
+        return real_moments_at(*args, **kwargs)
+
+    monkeypatch.setattr(spinmoments, "moments_at", counted)
+    counts = []
+    for p in (0.0, 0.2, 0.5, 0.8):
+        evals.clear()
+        t_star = find_threshold(model, p, t_bracket=t_bracket)
+        counts.append(len(evals))
+        assert t_star == pytest.approx(BISECTION_T_STAR[name, p], abs=T_TOLERANCE)
+    assert np.mean(counts) <= 14.0
 
 
 def test_free_space_threshold():
