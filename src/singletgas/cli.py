@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -146,10 +147,6 @@ def build_config(data, overrides=None):
     return cfg
 
 
-def _fmt(x):
-    return format(float(x), ".12g")
-
-
 def _model_for(cfg):
     if cfg.spectrum == "grid":
         return spectra.FreeSpaceGrid(half_width=cfg.half_width)
@@ -158,27 +155,56 @@ def _model_for(cfg):
     return spectra.FreeSpaceContinuum()
 
 
+# json.dumps prints a float as repr(float(t)) for its %.12g token t.  For a
+# normal float that is t itself, with ".0" if t is integral: two decimals of
+# at most 12 digits lie more than one ulp apart, so t is the shortest string
+# that round-trips.  It is not where %g writes 1e12 <= |x| < 1e16 in exponent
+# form and repr does not, nor for a subnormal, whose few bits cannot tell
+# twelve digits apart; a row holding such a token goes through repr.
+_REPR_DIFFERS = re.compile(r"e(\+1|-3\d\d)")
+
+
+def _json_tokens(text):
+    """The JSON numbers of one comma-joined ``%.12g`` row."""
+    if _REPR_DIFFERS.search(text):
+        return map(repr, map(float, text.split(",")))
+    return [t if "." in t or "e" in t else t + ".0" for t in text.split(",")]
+
+
 def _write(path, cfg, csv_head, json_head, rows_key, rows):
     """Write ``rows`` below the resolved config, as CSV or as JSON.
 
     ``csv_head`` is the CSV line above the rows; ``json_head`` is the
     (key, value) pair stored next to ``rows_key`` in the JSON object.
+    Each value is printed once with ``%.12g`` and the file is written row
+    by row; JSON comes out in the bytes ``json.dumps(indent=1,
+    sort_keys=True)`` gives for the rounded floats.
     """
-    if not np.isfinite(np.asarray(rows, dtype=float)).all():
+    rows = np.asarray(rows, dtype=float)
+    if not np.isfinite(rows).all():
         raise DomainError(f"refusing to write non-finite values to {path}")
-    path = Path(path)
-    if cfg.format == "json":
-        payload = {
-            "config": cfg.as_dict(),
-            json_head[0]: json_head[1],
-            rows_key: [[float(_fmt(v)) for v in row] for row in rows],
-        }
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        return
-    lines = [f"# {key} = {value}" for key, value in sorted(cfg.as_dict().items())]
-    lines.append(csv_head)
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    cells = ",".join(["%.12g"] * rows.shape[-1])
+    with open(path, "w") as out:
+        if cfg.format == "json":
+            head = json.dumps(
+                {"config": cfg.as_dict(), json_head[0]: json_head[1], rows_key: []},
+                indent=1,
+                sort_keys=True,
+            )
+            assert head.endswith(f'"{rows_key}": []\n}}'), f"{rows_key} must sort last"
+            out.write(head.removesuffix("]\n}"))
+            sep = "\n  [\n   "
+            for row in rows:
+                tokens = _json_tokens(cells % tuple(row.tolist()))
+                out.write(sep + ",\n   ".join(tokens))
+                sep = "\n  ],\n  [\n   "
+            out.write(("\n  ]\n ]" if len(rows) else "]") + "\n}\n")
+            return
+        for key, value in sorted(cfg.as_dict().items()):
+            out.write(f"# {key} = {value}\n")
+        out.write(csv_head + "\n")
+        for row in rows:
+            out.write(cells % tuple(row.tolist()) + "\n")
 
 
 def _write_table(cfg, columns, rows):

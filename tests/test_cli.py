@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singletgas import cli, lattice
 from singletgas.cli import ConfigError, build_config, main, parse_config_text
@@ -138,6 +139,27 @@ def test_json_output(tmp_path):
     assert len(payload["rows"]) == 1
 
 
+def test_lattice_json_parses_to_rounded_maps(tmp_path):
+    out = tmp_path / "maps.json"
+    status = run_cli(
+        tmp_path, f"workflow = lattice\nlattice_size = 16\nout = {out}\nformat = json\n"
+    )
+    assert status == 0
+    cmap = lattice.spin_correlation_map(16)
+    maps = {
+        "maps_correlation.json": cmap.values,
+        "maps_structure_factor.json": lattice.structure_factor(cmap).values,
+    }
+    for name, values in maps.items():
+        payload = json.loads((tmp_path / name).read_text())
+        assert payload["L"] == 16
+        assert payload["config"]["lattice_size"] == 16
+        assert payload["values"] == [
+            [float(format(v, ".12g")) for v in row] for row in values
+        ]
+        assert all(type(v) is float for row in payload["values"] for v in row)
+
+
 def test_validate_workflow_zero_failures(tmp_path):
     out = tmp_path / "validate.csv"
     status = run_cli(
@@ -176,14 +198,103 @@ def test_exit_codes(tmp_path):
 
 
 def test_non_finite_output_refused(tmp_path, monkeypatch):
+    real_map = lattice.spin_correlation_map
+
+    def nan_in_last_row(size, **kwargs):
+        cmap = real_map(size, **kwargs)
+        cmap.values[-1, size // 2] = np.nan
+        return cmap
+
     def broken(cmap):
         return lattice.StructureFactor(cmap.size, np.full(cmap.values.shape, np.nan))
 
-    monkeypatch.setattr(lattice, "structure_factor", broken)
-    out = tmp_path / "maps.csv"
-    status = run_cli(tmp_path, f"workflow = lattice\nlattice_size = 4\nout = {out}\n")
-    assert status == cli.EXIT_DOMAIN
-    assert not (tmp_path / "maps_structure_factor.csv").exists()
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"maps.{fmt}"
+        job = f"workflow = lattice\nlattice_size = 4\nout = {out}\nformat = {fmt}\n"
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "structure_factor", broken)
+            assert run_cli(tmp_path, job) == cli.EXIT_DOMAIN
+        assert (tmp_path / f"maps_correlation.{fmt}").exists()
+        assert not (tmp_path / f"maps_structure_factor.{fmt}").exists()
+
+        # rows stream to the file, so the check must come before it is opened
+        out = tmp_path / f"nan.{fmt}"
+        job = f"workflow = lattice\nlattice_size = 4\nout = {out}\nformat = {fmt}\n"
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "spin_correlation_map", nan_in_last_row)
+            assert run_cli(tmp_path, job) == cli.EXIT_DOMAIN
+        assert not (tmp_path / f"nan_correlation.{fmt}").exists()
+        assert not (tmp_path / f"nan_structure_factor.{fmt}").exists()
+
+
+def _reference_output(cfg, csv_head, json_head, rows_key, rows):
+    """The writer's bytes as the per-value formatter printed them."""
+
+    def fmt(v):
+        return format(float(v), ".12g")
+
+    if cfg.format == "json":
+        payload = {
+            "config": cfg.as_dict(),
+            json_head[0]: json_head[1],
+            rows_key: [[float(fmt(v)) for v in row] for row in rows],
+        }
+        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    lines = [f"# {key} = {value}" for key, value in sorted(cfg.as_dict().items())]
+    lines.append(csv_head)
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _written(path, cfg, csv_head, json_head, rows_key, rows):
+    cli._write(path, cfg, csv_head, json_head, rows_key, rows)
+    return path.read_text()
+
+
+TINY = 2.2250738585072014e-308  # smallest normal double
+
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e-5, 5e-324, -5e-324, TINY, 1e12, 1e16]),
+    st.integers(-(10**13), 10**13).map(float),
+    st.floats(-1e16, 1e16).filter(lambda x: abs(x) >= 1e12),
+    st.floats(9.99e-6, 1.001e-5),
+    st.floats(-TINY, TINY),
+)
+
+
+@st.composite
+def value_rows(draw):
+    ncols = draw(st.integers(1, 4))
+    return draw(st.lists(st.lists(VALUES, min_size=ncols, max_size=ncols), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fmt=st.sampled_from(["csv", "json"]),
+    layout=st.sampled_from(["table", "map"]),
+    rows=value_rows(),
+)
+def test_writer_bytes_match_per_value_format(tmp_path_factory, fmt, layout, rows):
+    path = tmp_path_factory.getbasetemp() / f"writer.{fmt}"
+    cfg = build_config({"workflow": "lattice", "format": fmt, "out": str(path)})
+    if layout == "table":
+        columns = [f"c{i}" for i in range(len(rows[0]) if rows else 2)]
+        head = (",".join(columns), ("columns", columns), "rows")
+    else:
+        head = ("L,8", ("L", 8), "values")
+    assert _written(path, cfg, *head, rows) == _reference_output(cfg, *head, rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_bytes_on_fig_lattice_maps(tmp_path, fmt):
+    cmap = lattice.spin_correlation_map(64)
+    path = tmp_path / f"out.{fmt}"
+    cfg = build_config({"workflow": "lattice", "lattice_size": 64, "format": fmt})
+    head = ("L,64", ("L", 64), "values")
+    for values in (cmap.values, lattice.structure_factor(cmap).values):
+        expected = _reference_output(cfg, *head, values)
+        assert _written(path, cfg, *head, values) == expected
 
 
 def test_seed_flag_overrides_config(tmp_path):
