@@ -266,36 +266,29 @@ def _sample_bose_ensemble(gen):
     energies = tuple(gen.uniform(0.2, 1.5) for _ in range(modes))
     beta = gen.uniform(0.5, 3.0)
     h = gen.uniform(0.0, 0.3)
-    # keep the gap to the lowest level at least 0.3/beta so the default
-    # occupation cutoff converges quickly
+    # keep the gap to the lowest level at least 0.3/beta, where the oracle's
+    # occupation cutoff stays below 200
     mu = min(energies) - h / 2.0 - gen.uniform(0.3, 3.0) / beta
     return oracle.FockEnsemble(
         statistics="bose", energies=energies, beta=beta, mu=mu, field=h
     )
 
 
-FERMI_ORACLE_RTOL = 1e-10
-BOSE_ORACLE_RTOL = 1e-6
+ORACLE_RTOL = 1e-10
 
 
 def run_validate(cfg):
     gen = Lcg64(cfg.seed)
+    samplers = [_sample_fermi_ensemble] * cfg.samples_fermi
+    samplers += [_sample_bose_ensemble] * cfg.samples_bose
     rows = []
-    failures = 0
-    for i in range(cfg.samples_fermi):
-        ens = _sample_fermi_ensemble(gen)
+    for i, sample in enumerate(samplers):
+        ens = sample(gen)
         dev = oracle.oracle_deviation(ens)
-        ok = dev < FERMI_ORACLE_RTOL
-        failures += not ok
-        rows.append((i, 0, len(ens.energies), dev, int(ok)))
-    for i in range(cfg.samples_bose):
-        ens = _sample_bose_ensemble(gen)
-        dev = oracle.oracle_deviation(ens)
-        ok = dev < BOSE_ORACLE_RTOL
-        failures += not ok
-        rows.append((cfg.samples_fermi + i, 1, len(ens.energies), dev, int(ok)))
+        ok = dev < ORACLE_RTOL
+        rows.append((i, ens.statistics == "bose", len(ens.energies), dev, ok))
     _write_table(cfg, ("index", "is_bose", "modes", "max_rel_err", "ok"), rows)
-    return failures
+    return sum(not row[-1] for row in rows)
 
 
 def run(cfg):

@@ -48,35 +48,35 @@ class QfiResult(NamedTuple):
     witnessed: bool
 
 
-def momentum_occupations(size, temperature=GROUND_STATE_T, mu=0.0, hopping=1.0):
-    """Fermi occupations n_k per spin on the L x L momentum grid."""
+def momentum_occupations(size, temperature=GROUND_STATE_T):
+    """Fermi occupations n_k per spin on the L x L grid, half filled (mu = 0)."""
     if size <= 0 or size % 2:
         raise ValueError(f"lattice size must be a positive even integer, got {size}")
     k = 2.0 * np.pi * np.arange(size) / size
-    energies = spectra.lattice_dispersion(np.meshgrid(k, k, indexing="ij"), hopping)
-    params = occupancy.GasParameters.fermi(temperature, mu=mu)
+    energies = spectra.lattice_dispersion(np.meshgrid(k, k, indexing="ij"))
+    params = occupancy.GasParameters.fermi(temperature, mu=0.0)
     return occupancy.occupation(energies, params)
 
 
-def first_order_correlation(size, temperature=GROUND_STATE_T, mu=0.0, hopping=1.0):
+def first_order_correlation(size, temperature=GROUND_STATE_T):
     """One-body correlation G(r) = (1/L^2) sum_k exp(-i k r) n_k, per spin.
 
     Real by inversion symmetry of the band; the imaginary part is checked
     against 1e-12 and dropped.
     """
-    n_k = momentum_occupations(size, temperature, mu, hopping)
+    n_k = momentum_occupations(size, temperature)
     g = np.fft.ifft2(n_k)
     if np.abs(g.imag).max() > IMAG_TOL:
         raise AssertionError("first-order correlation has a nonzero imaginary part")
     return g.real
 
 
-def spin_correlation_map(size, temperature=GROUND_STATE_T, mu=0.0, hopping=1.0):
+def spin_correlation_map(size, temperature=GROUND_STATE_T):
     """<S^z_0 S^z_r> for the balanced gas via Wick contractions of G.
 
     Onsite: (1/4) sum_sigma n(1-n); offsite: -(1/2) G(r)^2.
     """
-    g = first_order_correlation(size, temperature, mu, hopping)
+    g = first_order_correlation(size, temperature)
     values = -0.5 * g**2
     filling = g[0, 0]
     values[0, 0] = 0.5 * filling * (1.0 - filling)

@@ -5,8 +5,8 @@ nonlinear separability inequalities: moments are explicit weighted traces
 over the (truncated) Fock space.  The sum over occupation configurations
 is only regrouped, never approximated.  The thermal state of an ideal gas
 is a product over (mode, spin) orbitals, so the weight of each
-(N_up, N_dn) sector is the outer product of two 1-D convolutions of the
-per-orbital Boltzmann factors, one per spin.
+(N_up, N_dn) sector is a product of two per-spin convolutions of the
+orbital Boltzmann factors, and a sum over the sectors of one N convolves them.
 
 Only diagonal operators and within-mode spin flips appear; (J^x)^2 and
 (J^y)^2 reduce to sums of per-mode diagonal matrix elements because the
@@ -21,7 +21,8 @@ contracted (no Wick factorization), so agreement with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -33,7 +34,6 @@ from .spinmoments import InequalityCheck, SpinMoments, tightest_permutations
 MAX_FERMI_MODES = 6
 MAX_BOSE_MODES = 4
 MAX_BOSE_CUTOFF = 640
-CUTOFF_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class FockEnsemble:
     beta: float
     mu: float
     field: float = 0.0
-    n_cut: int = 40
 
     def __post_init__(self):
         if self.statistics not in ("fermi", "bose"):
@@ -60,14 +59,13 @@ class FockEnsemble:
                 f"{self.statistics} ensembles support 1..{limit} modes, "
                 f"got {len(self.energies)}"
             )
-        if self.statistics == "bose":
-            if self.n_cut < 1:
-                raise ValueError(f"boson cutoff must be >= 1, got {self.n_cut}")
-            gap = min(self.energies) - abs(self.field) / 2.0 - self.mu
-            if gap <= 0:
-                raise DomainError(
-                    "Bose chemical potential reaches a single-particle level"
-                )
+        if self.statistics == "bose" and self.gap <= 0:
+            raise DomainError("Bose chemical potential reaches a single-particle level")
+
+    @property
+    def gap(self):
+        """Height of the lowest orbital, the lower spin of the lowest mode, above mu."""
+        return min(self.energies) - abs(self.field) / 2.0 - self.mu
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,8 @@ class ExactReport:
     The separability criteria assume no weight on the N <= 1 sectors; a
     grand-canonical state violates that, so the inequality sides are
     evaluated on the state conditioned on N >= 2 and the discarded weight
-    is reported for the caller to judge applicability.
+    is reported for the caller to judge applicability.  ``n_cut`` is the
+    per-orbital occupation cutoff the traces ran at (1 for fermions).
     """
 
     moments: SpinMoments
@@ -86,17 +85,49 @@ class ExactReport:
     inequality_sum: InequalityCheck
     inequality_single: InequalityCheck
     inequality_pair: InequalityCheck
+    n_cut: int
 
     @property
     def checks(self):
         return (self.inequality_sum, self.inequality_single, self.inequality_pair)
 
 
-def _spin_products(ens, shift):
+def _occupation_cutoff(ens):
+    """Per-orbital occupation cutoff: 1 for fermions, and for bosons the
+    smallest c from which on the tail bound below stays under 2^-60.
+
+    Orbital i (a mode and a spin) holds n_i bosons with P(n_i = n) =
+    (1 - x_i) x_i^n, x_i <= x = exp(-beta gap).  Given n_i > c, n_i - c - 1
+    is geometric again, so with the other k - 1 orbitals (k = 2 * modes) it
+    has the law of N, and E[N^2; n_i > c] = x_i^(c+1) E[(c + 1 + N)^2] <=
+    x^(c+1) ((c + 1 + m)^2 + v), where m = k x / (1 - x) >= <N> and
+    v = m / (1 - x) >= Var N.  Every traced operator O has |O| <= N^2, and
+    the N >= 2 sector weighs at least x^2, so the cut moves each moment,
+    sector moment and weight_n_le_1 by at most twice
+    k x^(c-1) ((c + 1 + m)^2 + v) times max(1, |value|).  2^-60 leaves 2^8
+    below double rounding for the variances and inequality sides.  The bound
+    exceeds x^(c-1), so beta gap < 60 ln 2 / (MAX_BOSE_CUTOFF - 1) raises
+    NoConvergence before any array is built, as does c > MAX_BOSE_CUTOFF.
+    """
+    if ens.statistics == "fermi":
+        return 1
+    u = ens.beta * ens.gap
+    if u * (MAX_BOSE_CUTOFF - 1) >= 60.0 * math.log(2.0):
+        k, x, one_minus_x = 2 * len(ens.energies), math.exp(-u), -math.expm1(-u)
+        m = k * x / one_minus_x
+        c = np.arange(1, MAX_BOSE_CUTOFF + 1)
+        bound = k * x ** (c - 1.0) * ((c + 1 + m) ** 2 + m / one_minus_x)
+        cut = int(c[bound > 2.0**-60][-1]) + 1
+        if cut <= MAX_BOSE_CUTOFF:
+            return cut
+    raise NoConvergence(f"boson cutoff above {MAX_BOSE_CUTOFF} at beta * gap = {u:.3g}")
+
+
+def _spin_products(ens, shift, cut):
     """Weights of the total count of one spin species (level shift
-    ``shift``), and row m of the same with mode m's factor weighted by its
-    occupation."""
-    occ = np.arange(2 if ens.statistics == "fermi" else ens.n_cut + 1)
+    ``shift``, occupations up to ``cut`` per orbital), and row m of the
+    same with mode m's factor weighted by its occupation."""
+    occ = np.arange(cut + 1)
     factors = []
     for eps in ens.energies:
         logw = -ens.beta * (eps + shift - ens.mu) * occ
@@ -108,49 +139,50 @@ def _spin_products(ens, shift):
     return reduce(np.convolve, factors), np.array(marked)
 
 
-def _moments(w, x, n, jz):
+def _moments(w, n, jz, jz2, jx2):
+    """Moments from the weight ``w`` of each N in ``n`` and the weighted
+    sums ``jz``, ``jz2``, ``jx2`` of Jz, Jz^2 and (Jx)^2 at that N."""
     z = w.sum()
     mean_n = float((w * n).sum() / z)
-    mean_jz = float((w * jz).sum() / z)
-    mean_jz2 = float((w * jz**2).sum() / z)
-    var_jx = float(x.sum() / z)  # <(Jx)^2>, and <Jx> = 0 identically
+    mean_jz = float(jz.sum() / z)
+    var_jx = float(jx2.sum() / z)  # <(Jx)^2>, and <Jx> = 0 identically
     return SpinMoments(
         mean_n=mean_n,
         mean_jz=mean_jz,
         var_jx=var_jx,
         var_jy=var_jx,
-        var_jz=mean_jz2 - mean_jz**2,
+        var_jz=float(jz2.sum() / z) - mean_jz**2,
         polarization=2.0 * mean_jz / mean_n if mean_n > 0 else 0.0,
     )
 
 
-def _exact_report(ens):
-    up, a = _spin_products(ens, -0.5 * ens.field)
-    dn, b = _spin_products(ens, 0.5 * ens.field)
-    n_up = np.arange(up.size, dtype=float)[:, None]
-    n_dn = np.arange(dn.size, dtype=float)[None, :]
-    n = n_up + n_dn
-    jz = 0.5 * (n_up - n_dn)
-    weights = np.outer(up, dn)
+def _exact_report(ens, cut):
+    up, a = _spin_products(ens, -0.5 * ens.field, cut)
+    dn, b = _spin_products(ens, 0.5 * ens.field, cut)
+    occ = np.arange(up.size, dtype=float)
+    up_n, dn_n, conv = occ * up, occ * dn, np.convolve
+    # over the sectors of each N: the weight and the weighted Jz, Jz^2 and
+    # (Jx)^2, whose per-mode products pair marked rows (module notes)
+    w = conv(up, dn)
+    n = np.arange(w.size, dtype=float)
+    jz = 0.5 * (conv(up_n, dn) - conv(up, dn_n))
+    jz2 = 0.25 * (conv(occ * up_n, dn) - 2.0 * conv(up_n, dn_n) + conv(up, occ * dn_n))
     eta = -1.0 if ens.statistics == "fermi" else 1.0
-    # per-mode diagonal (Jx)^2 = (n_up + n_dn + 2 eta n_up n_dn) / 4: the
-    # linear terms sum to N / 4 over the modes, the product terms to A^T B
-    accum = 0.25 * n * weights + 0.5 * eta * (a.T @ b)
-    moments = _moments(weights, accum, n, jz)
+    jx2 = 0.25 * n * w + 0.5 * eta * sum(map(conv, a, b))
+    moments = _moments(w, n, jz, jz2, jx2)
 
-    sel = n >= 2
-    w2, x2, n2, jz2 = weights[sel], accum[sel], n[sel], jz[sel]
+    w2, n2 = w[2:], n[2:]  # the N >= 2 sectors
     z2 = w2.sum()
     if not z2 > 0:
         raise DegenerateInputError(f"no weight on the N >= 2 sectors of {ens!r}")
-    sector = _moments(w2, x2, n2, jz2)
+    sector = _moments(*(v[2:] for v in (w, n, jz, jz2, jx2)))
     inv = 1.0 / (n2 - 1.0)
-    jx2_over = float((x2 * inv).sum() / z2)
-    jz2_over = float((w2 * jz2**2 * inv).sum() / z2)
+    jx2_over = float((jx2[2:] * inv).sum() / z2)
+    jz2_over = float((jz2[2:] * inv).sum() / z2)
     n_over = float((w2 * n2 * inv).sum() / (2.0 * z2))
     nn2_over = float((w2 * n2 * (n2 - 2.0) * inv).sum() / (4.0 * z2))
 
-    ineq_sum, single, pair = tightest_permutations(
+    checks = tightest_permutations(
         sector.mean_n,
         {"x": sector.var_jx, "y": sector.var_jy, "z": sector.var_jz},
         {"x": jx2_over, "y": jx2_over, "z": jz2_over},
@@ -158,45 +190,13 @@ def _exact_report(ens):
         nn2_over,
         "exact",
     )
-    return ExactReport(
-        moments=moments,
-        sector_moments=sector,
-        weight_n_le_1=float(1.0 - z2 / weights.sum()),
-        inequality_sum=ineq_sum,
-        inequality_single=single,
-        inequality_pair=pair,
-    )
-
-
-def _close(a, b):
-    for u, v in (
-        (a.moments.mean_n, b.moments.mean_n),
-        (a.moments.var_jx, b.moments.var_jx),
-        (a.moments.var_jz, b.moments.var_jz),
-    ):
-        if abs(u - v) > CUTOFF_RTOL * max(1.0, abs(u), abs(v)):
-            return False
-    return True
+    return ExactReport(moments, sector, float(1.0 - z2 / w.sum()), *checks, n_cut=cut)
 
 
 def exact_moments(ens):
-    """Exact moments and inequality sides; see :class:`ExactReport`.
-
-    Boson cutoffs are validated by comparing against an n_cut - 1 run and
-    doubled until the truncation no longer matters.
-    """
-    if ens.statistics == "fermi":
-        return _exact_report(ens)
-    cut = ens.n_cut
-    while cut <= MAX_BOSE_CUTOFF:
-        report = _exact_report(replace(ens, n_cut=cut))
-        probe = _exact_report(replace(ens, n_cut=cut - 1))
-        if _close(report, probe):
-            return report
-        cut *= 2
-    raise NoConvergence(
-        f"boson occupation cutoff did not converge below {MAX_BOSE_CUTOFF}"
-    )
+    """Exact moments and inequality sides at the cutoff of
+    :func:`_occupation_cutoff`; see :class:`ExactReport`."""
+    return _exact_report(ens, _occupation_cutoff(ens))
 
 
 def closed_form_moments(ens):

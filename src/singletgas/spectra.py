@@ -73,10 +73,10 @@ class HarmonicTrap:
 SpectrumModel = FreeSpaceGrid | FreeSpaceContinuum | HarmonicTrap
 
 
-def lattice_dispersion(k, hopping=1.0):
-    """Tight-binding energy -2J(cos kx + cos ky) for wavevector k=(kx, ky)."""
+def lattice_dispersion(k):
+    """Tight-binding energy -2(cos kx + cos ky) in units of the hopping, k=(kx, ky)."""
     kx, ky = k
-    return -2.0 * hopping * (np.cos(kx) + np.cos(ky))
+    return -2.0 * (np.cos(kx) + np.cos(ky))
 
 
 def band_bottom(model):

@@ -169,15 +169,15 @@ class SweepPoint:
     witnessed: bool
 
 
-def moments_at(model, temperature, p_target=0.0, mu=1.0):
+def moments_at(model, temperature, p_target=0.0):
     """Spin moments of a Fermi gas at one (T, P) point, solving the field."""
-    params = GasParameters.fermi(temperature, mu=mu)
+    params = GasParameters.fermi(temperature)
     field = occupancy.solve_field_for_polarization(model, params, p_target)
-    table = build_occupation_table(model, GasParameters.fermi(temperature, mu, field))
+    table = build_occupation_table(model, GasParameters.fermi(temperature, field=field))
     return field, collective_variances(table, eta=-1.0)
 
 
-def singlet_fraction_sweep(model, t_grid, p_grid, mu=1.0):
+def singlet_fraction_sweep(model, t_grid, p_grid):
     """f_s over a (T, P) product grid, rows ordered T outer / P inner."""
     t_grid, p_grid = list(t_grid), list(p_grid)
     if not t_grid or not p_grid:
@@ -186,7 +186,7 @@ def singlet_fraction_sweep(model, t_grid, p_grid, mu=1.0):
     for t in t_grid:
         for p in p_grid:
             try:
-                field, moments = moments_at(model, t, p, mu=mu)
+                field, moments = moments_at(model, t, p)
             except (occupancy.DomainError, occupancy.NoConvergence) as err:
                 raise type(err)(f"at grid point T={t}, P={p}: {err}") from None
             xi2 = xi_squared(moments)
@@ -199,7 +199,7 @@ def singlet_fraction_sweep(model, t_grid, p_grid, mu=1.0):
 T_TOLERANCE = 1e-6
 
 
-def find_threshold(model, p_target=0.0, t_bracket=(0.02, 2.0), mu=1.0):
+def find_threshold(model, p_target=0.0, t_bracket=(0.02, 2.0)):
     """Temperature at which f_s(T, P) changes sign, to within T_TOLERANCE.
 
     The bracket must straddle the zero: f_s > 0 at the lower end and
@@ -207,7 +207,7 @@ def find_threshold(model, p_target=0.0, t_bracket=(0.02, 2.0), mu=1.0):
     """
 
     def f_s(t):
-        _, moments = moments_at(model, t, p_target, mu=mu)
+        _, moments = moments_at(model, t, p_target)
         return 1.0 - xi_squared(moments)
 
     lo, hi = t_bracket

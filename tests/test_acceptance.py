@@ -148,10 +148,10 @@ def test_criterion_6_oracle_equivalence():
         oracle.oracle_deviation(cli._sample_bose_ensemble(gen)) for _ in range(20)
     )
     elapsed = time.perf_counter() - start
-    ok = worst_fermi < 1e-10 and worst_bose < 1e-6
+    ok = worst_fermi < 1e-10 and worst_bose < 1e-10
     _report(
         6,
-        f"oracle: fermi worst {worst_fermi:.1e} < 1e-10, bose worst {worst_bose:.1e} < 1e-6",
+        f"oracle: fermi worst {worst_fermi:.1e} < 1e-10, bose worst {worst_bose:.1e} < 1e-10",
         ok,
         elapsed,
         budget=120,

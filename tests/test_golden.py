@@ -60,10 +60,10 @@ DIGESTS = {
         "out.json": "9b5f962d6b4b773b141075042ce92cf5b886c31e74941e2b87eb3bd9ac9b1bab",
     },
     ("validate", "csv"): {
-        "out.csv": "baf3bf95264d30fd714d9afd88decc43be32ab994c5bb816250bdb4348551e92",
+        "out.csv": "4a5f6478255cd95ad592bab5f8955ed20c7f8c60c6f1060d8c97ed658b278cce",
     },
     ("validate", "json"): {
-        "out.json": "ded60bc01351656330afd6441f47ab86f86914c5b643f0135329c0863b5c2f52",
+        "out.json": "4a2e1bd819331dccba8fe81a43f35e44b61bd4742b598819f4f7ff44aa99d603",
     },
 }
 

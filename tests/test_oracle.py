@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singletgas import oracle
-from singletgas.occupancy import DegenerateInputError, DomainError
+from singletgas.occupancy import DegenerateInputError, DomainError, NoConvergence
 from singletgas.oracle import (
     FockEnsemble,
     closed_form_moments,
@@ -22,6 +22,7 @@ def test_single_fermi_mode_equal_weights():
     # beta (e - mu) = 0, H = 0: the four states {0, up, dn, updn} have
     # equal weight
     report = exact_moments(FockEnsemble("fermi", (0.0,), beta=1.0, mu=0.0))
+    assert report.n_cut == 1
     assert report.moments.mean_n == pytest.approx(1.0)
     assert report.moments.var_jz == pytest.approx(0.125)
     assert report.moments.var_jx == pytest.approx(0.125)
@@ -32,16 +33,15 @@ def test_single_fermi_mode_equal_weights():
 def test_deep_fermi_sea_is_singlet():
     ens = FockEnsemble("fermi", (-1.0, -0.8, -0.5), beta=200.0, mu=0.0)
     report = exact_moments(ens)
+    assert report.n_cut == 1
     assert report.moments.mean_n == pytest.approx(6.0, abs=1e-10)
     for var in (report.moments.var_jx, report.moments.var_jz):
         assert var == pytest.approx(0.0, abs=1e-10)
 
 
 def test_two_bose_modes_match_closed_form():
-    ens = FockEnsemble(
-        "bose", (0.0, 0.5), beta=1.0, mu=float(np.log(0.3)), n_cut=40
-    )
-    assert oracle_deviation(ens) < 1e-8
+    ens = FockEnsemble("bose", (0.0, 0.5), beta=1.0, mu=float(np.log(0.3)))
+    assert oracle_deviation(ens) < 1e-10
 
 
 def test_bose_mu_reaching_level_rejected():
@@ -79,7 +79,7 @@ def test_random_bose_ensembles_match_wick():
         h = gen.uniform(0.0, 0.3)
         mu = min(energies) - h / 2.0 - gen.uniform(0.3, 3.0) / beta
         ens = FockEnsemble("bose", energies, beta=beta, mu=mu, field=h)
-        assert oracle_deviation(ens) < 1e-6
+        assert oracle_deviation(ens) < 1e-10
 
 
 def test_low_particle_sector_weight_reported():
@@ -138,14 +138,43 @@ def test_mean_n_approximation_quality():
         checked += 1
 
 
-def test_bose_cutoff_convergence_loop():
-    # a deliberately small starting cutoff must be escalated, not trusted
-    soft = FockEnsemble("bose", (0.2,), beta=2.0, mu=-0.2, n_cut=4)
-    hard = FockEnsemble("bose", (0.2,), beta=2.0, mu=-0.2, n_cut=64)
-    a = exact_moments(soft).moments
-    b = exact_moments(hard).moments
-    assert a.mean_n == pytest.approx(b.mean_n, rel=1e-9)
-    assert a.var_jx == pytest.approx(b.var_jx, rel=1e-9)
+def _report_values(report):
+    moments = [
+        getattr(m, f)
+        for m in (report.moments, report.sector_moments)
+        for f in SpinMoments.__dataclass_fields__
+    ]
+    sides = [v for check in report.checks for v in (check.lhs, check.rhs)]
+    return [*moments, report.weight_n_le_1, *sides]
+
+
+@st.composite
+def bose_ensembles(draw):
+    """Bose ensembles of 1-4 modes at beta * gap in [0.1, 40] and H >= 0."""
+    energies = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4))
+    beta, h = draw(st.floats(0.2, 5.0)), draw(st.floats(0.0, 1.0))
+    mu = min(energies) - h / 2.0 - draw(st.floats(0.1, 40.0)) / beta
+    return FockEnsemble("bose", tuple(energies), beta=beta, mu=mu, field=h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ens=bose_ensembles())
+def test_bose_cutoff_matches_far_larger_cutoff(ens):
+    # the tail bound's cutoff changes no reported value against a cutoff
+    # more than twice as large
+    report = exact_moments(ens)
+    reference = oracle._exact_report(ens, 2 * report.n_cut + 60)
+    for got, want in zip(_report_values(report), _report_values(reference)):
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_bose_cutoff_beyond_limit_raises_before_any_array(monkeypatch):
+    # beta * gap = 0.05 needs a cutoff above MAX_BOSE_CUTOFF; no numpy call
+    # (so no bound table and no Fock array) happens before the refusal
+    ens = FockEnsemble("bose", (0.5, 0.7), beta=2.0, mu=0.475)
+    monkeypatch.setattr(oracle, "np", None)
+    with pytest.raises(NoConvergence):
+        exact_moments(ens)
 
 
 @pytest.mark.parametrize(
@@ -174,11 +203,11 @@ def test_non_finite_inputs_rejected(statistics, changes):
         FockEnsemble(statistics, **kwargs)
 
 
-def _brute_force_report(ens):
+def _brute_force_report(ens, cut):
     """Every field of an ExactReport by enumerating each (n_up, n_dn) per
-    mode at the ensemble's own cutoff: a reference independent of the
-    oracle's per-spin factorization."""
-    occs = range(2) if ens.statistics == "fermi" else range(ens.n_cut + 1)
+    mode up to ``cut``: a reference independent of the oracle's per-spin
+    factorization."""
+    occs = range(cut + 1)
     rows = []
     for config in itertools.product(
         itertools.product(occs, occs), repeat=len(ens.energies)
@@ -233,21 +262,25 @@ def _brute_force_report(ens):
 
 
 BRUTE_FORCE_ENSEMBLES = [
-    FockEnsemble("fermi", (0.3,), beta=2.0, mu=0.5, field=0.4),
-    FockEnsemble("fermi", (-0.4, 0.2), beta=3.0, mu=0.1, field=0.0),
-    FockEnsemble("fermi", (-0.7, -0.1, 0.6), beta=1.5, mu=0.0, field=0.8),
-    FockEnsemble("fermi", (-1.0, -0.8, -0.5), beta=20.0, mu=0.0, field=0.3),
-    FockEnsemble("bose", (0.4,), beta=1.0, mu=-0.2, field=0.3, n_cut=8),
-    FockEnsemble("bose", (0.2, 0.9), beta=1.5, mu=-0.3, field=0.2, n_cut=6),
-    FockEnsemble("bose", (0.5, 0.6), beta=0.8, mu=0.0, field=0.0, n_cut=8),
+    (FockEnsemble("fermi", (0.3,), beta=2.0, mu=0.5, field=0.4), 1),
+    (FockEnsemble("fermi", (-0.4, 0.2), beta=3.0, mu=0.1, field=0.0), 1),
+    (FockEnsemble("fermi", (-0.7, -0.1, 0.6), beta=1.5, mu=0.0, field=0.8), 1),
+    (FockEnsemble("fermi", (-1.0, -0.8, -0.5), beta=20.0, mu=0.0, field=0.3), 1),
+    (FockEnsemble("bose", (0.4,), beta=1.0, mu=-0.2, field=0.3), 8),
+    (FockEnsemble("bose", (0.2, 0.9), beta=1.5, mu=-0.3, field=0.2), 6),
+    (FockEnsemble("bose", (0.5, 0.6), beta=0.8, mu=0.0, field=0.0), 8),
 ]
 
 
-@pytest.mark.parametrize("ens", BRUTE_FORCE_ENSEMBLES)
-def test_exact_report_matches_brute_force(ens):
-    # at the ensemble's own cutoff: the cutoff-doubling loop is not involved
-    report = oracle._exact_report(ens)
-    moments, sector, weight_low, checks = _brute_force_report(ens)
+@pytest.mark.parametrize(
+    "ens, cut",
+    BRUTE_FORCE_ENSEMBLES,
+    ids=[f"ens{i}" for i in range(len(BRUTE_FORCE_ENSEMBLES))],
+)
+def test_exact_report_matches_brute_force(ens, cut):
+    # at a fixed cutoff, not the one exact_moments works out
+    report = oracle._exact_report(ens, cut)
+    moments, sector, weight_low, checks = _brute_force_report(ens, cut)
 
     def close(a, b):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))

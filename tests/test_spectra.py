@@ -31,7 +31,7 @@ def momentum_grid(size):
 
 
 def test_lattice_l2_energies():
-    energies = lattice_dispersion(momentum_grid(2), 1.0)
+    energies = lattice_dispersion(momentum_grid(2))
     assert sorted(energies.ravel().tolist()) == [-4.0, 0.0, 0.0, 4.0]
 
 
@@ -40,7 +40,7 @@ def test_lattice_l2_energies():
     [((0.0, 0.0), -4.0), ((np.pi, np.pi), 4.0), ((np.pi / 2, np.pi / 2), 0.0)],
 )
 def test_lattice_dispersion_points(k, expected):
-    assert lattice_dispersion(k, 1.0) == pytest.approx(expected, abs=1e-12)
+    assert lattice_dispersion(k) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("w", [1, 6, 15])
@@ -68,7 +68,7 @@ def test_grid_energy_scale():
 
 @pytest.mark.parametrize("size", [4, 8, 16])
 def test_lattice_particle_hole_symmetry(size):
-    energies = lattice_dispersion(momentum_grid(size), 1.0).ravel()
+    energies = lattice_dispersion(momentum_grid(size)).ravel()
     assert abs(energies.sum()) < 1e-10
     assert np.allclose(np.sort(energies), -np.sort(-energies)[::-1])
 
@@ -148,6 +148,6 @@ def test_invalid_models_rejected(model):
     ky=st.floats(-np.pi, np.pi, exclude_max=True),
 )
 def test_dispersion_bounded_and_inversion_symmetric(kx, ky):
-    e = lattice_dispersion((kx, ky), 1.0)
+    e = lattice_dispersion((kx, ky))
     assert -4.0 <= e <= 4.0
-    assert lattice_dispersion((-kx, -ky), 1.0) == pytest.approx(e, abs=1e-12)
+    assert lattice_dispersion((-kx, -ky)) == pytest.approx(e, abs=1e-12)
