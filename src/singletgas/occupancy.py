@@ -15,6 +15,7 @@ BOSE_MARGIN = 1e-12  # relative guard against a diverging lowest level
 
 SPIN_UP = 0.5
 SPIN_DOWN = -0.5
+SPINS = np.array([[SPIN_UP], [SPIN_DOWN]])  # both spins as one broadcast column
 
 
 class DomainError(ValueError):
@@ -105,11 +106,13 @@ class OccupationTable:
 
 
 def occupation(energy, params, sigma=SPIN_UP):
-    """Mean occupation 1/(exp(beta(e - sigma H - mu)) - eta) of one level.
+    """Mean occupation 1/(exp(beta(e - sigma H - mu)) - eta) of each level.
 
-    Saturates deterministically outside the double-precision exp range:
-    0 above, and (Fermi only) 1 below.  Bose arguments <= 0 are a domain
-    error (diverging or negative occupation).
+    ``sigma`` may be an array that broadcasts against the energies (a (2, 1)
+    column gives both spins in one pass).  Saturates deterministically
+    outside the double-precision exp range: 0 above, and (Fermi only) 1
+    below.  Bose arguments <= 0 are a domain error (diverging or negative
+    occupation).
     """
     if params.mu is None:
         raise ValueError("unresolved Bose parameters; call params.resolved(bottom)")
@@ -144,8 +147,7 @@ def build_occupation_table(model, params):
     )
     params = params.resolved(spectra.band_bottom(model))
     try:
-        n_up = occupation(energies, params, SPIN_UP)
-        n_down = occupation(energies, params, SPIN_DOWN)
+        n_up, n_down = occupation(energies, params, SPINS)
     except DomainError as err:
         bad = int(np.argmin(energies))
         raise DomainError(f"{err} (first offending level index {bad})") from None
@@ -162,29 +164,50 @@ def total_number(table):
     return NumberSummary(total, n_up, n_down, (n_up - n_down) / total)
 
 
+class FieldResponse(NamedTuple):
+    polarization: float
+    slope: float  # dP/dH at fixed levels, (T, mu)
+    table: OccupationTable
+
+
 def polarization_at(model, params, field):
-    """P for the given Zeeman field, at fixed (model, T, mu)."""
+    """P, dP/dH and the occupation table at the given Zeeman field, fixed (T, mu).
+
+    The slope is the fluctuation-dissipation sum over the same table:
+    dN_sigma/dH = sigma beta sum_a w_a n (1 + eta n), which for fermions is
+    sigma beta sum_a w_a n_sigma (1 - n_sigma).  It holds the levels fixed, so
+    where they move with H (the continuum's panel edges) it is the slope of
+    the quadrature at this point's nodes, not of P(H) itself.
+    """
     table = build_occupation_table(model, replace(params, field=field))
-    return total_number(table).polarization
+    nums = total_number(table)
+    w, eta = table.weights, params.eta
+    fluct_up = float(np.sum(w * table.n_up * (1.0 + eta * table.n_up)))
+    fluct_down = float(np.sum(w * table.n_down * (1.0 + eta * table.n_down)))
+    # P = (N_up - N_down) / N with dN_up/dH = fluct_up / 2T, dN_down/dH = -fluct_down / 2T
+    slope = ((fluct_up + fluct_down) - nums.polarization * (fluct_up - fluct_down)) / (
+        2.0 * params.temperature * nums.total
+    )
+    return FieldResponse(nums.polarization, slope, table)
 
 
 P_TOLERANCE = 1e-8
 MAX_ITERATIONS = 200
 
 
-def _bracketed_root(f, a, b, fa, fb, xtol=0.0, ftol=0.0):
+def _bracketed_root(f, a, b, fa, fb, xtol=0.0):
     """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
 
     Illinois false position (Dowell & Jarratt 1971): a secant step that lands
     on the last point's side halves the retained end's f, so no end stalls.
-    Returns x once f(x) == 0 or |f(x)| < ftol, the midpoint once |b - a| < xtol.
+    Returns x once f(x) == 0, the midpoint once |b - a| < xtol.
     """
     for _ in range(MAX_ITERATIONS):
         if abs(b - a) < xtol:
             return 0.5 * (a + b)
         x = b - fb * (b - a) / (fb - fa)
         fx = f(x)
-        if fx == 0.0 or abs(fx) < ftol:
+        if fx == 0.0:
             return x
         if (fx > 0.0) == (fb > 0.0):
             fa *= 0.5
@@ -195,24 +218,39 @@ def _bracketed_root(f, a, b, fa, fb, xtol=0.0, ftol=0.0):
 
 
 def solve_field_for_polarization(model, params, p_target):
-    """Zeeman field H >= 0 with |P(H) - p_target| < P_TOLERANCE.
+    """Zeeman field H >= 0 with |P(H) - p_target| < P_TOLERANCE, and its table.
 
-    P is monotone in H with P(0) = 0, which anchors the bracket; the upper end
-    is found by doubling, the root by ``_bracketed_root``.  Fermi statistics only.
+    Returns (H, table), the table being that of the last P evaluation, so the
+    caller needs no second build; p_target = 0 gives H = 0 and the table
+    there without a search.  Safeguarded Newton (``rtsafe``, Numerical
+    Recipes 9.4) on the slope from ``polarization_at``: it starts from
+    H = 2T artanh(p_target), exact in the non-degenerate limit, and keeps a
+    bracket [lo, hi] from the sign of P - p_target (P is monotone in H with
+    P(0) = 0).  A step that leaves the bracket is replaced by bisection, or
+    by doubling H while hi is still open.  Fermi statistics only.
     """
     if params.statistics != "fermi":
         raise ValueError("polarization sweeps are defined for Fermi gases only")
     if not 0.0 <= p_target < 1.0:
         raise DomainError(f"target polarization must be in [0, 1), got {p_target}")
     if p_target == 0.0:
-        return 0.0
-    hi = params.temperature
+        return 0.0, build_occupation_table(model, replace(params, field=0.0))
+    lo, hi = 0.0, math.inf
+    h = 2.0 * params.temperature * math.atanh(p_target)
     for _ in range(MAX_ITERATIONS):
-        p_hi = polarization_at(model, params, hi)
-        if p_hi >= p_target:
-            break
-        hi *= 2.0
-    else:
-        raise NoConvergence(f"bracket expansion failed for P={p_target}")
-    return _bracketed_root(lambda h: polarization_at(model, params, h) - p_target,
-                           0.0, hi, -p_target, p_hi - p_target, ftol=P_TOLERANCE)
+        p, slope, table = polarization_at(model, params, h)
+        residual = p - p_target
+        if abs(residual) < P_TOLERANCE:
+            return h, table
+        if residual < 0.0:
+            lo = h
+        else:
+            hi = h
+        step = h - residual / slope if slope > 0.0 else math.nan
+        if lo < step < hi:
+            h = step
+        else:
+            h = 2.0 * h if hi == math.inf else 0.5 * (lo + hi)
+    raise NoConvergence(
+        f"field solve did not converge in {MAX_ITERATIONS} steps for P={p_target}"
+    )

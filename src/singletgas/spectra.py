@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 # occupations below exp(-OCC_LOG_GUARD) are treated as zero when choosing
 # adaptive cutoffs
@@ -28,8 +27,11 @@ def _gauss_rule():
     """Gauss-Legendre rule on [-1, 1] shared by every continuum panel.
 
     Built on first use, so processes that never enumerate a continuum skip
-    the eigenvalue solve behind ``leggauss``; read-only, as every call shares it.
+    the eigenvalue solve behind ``leggauss`` and the import of
+    ``numpy.polynomial`` (about 0.8 MB); read-only, as every call shares it.
     """
+    from numpy.polynomial.legendre import leggauss
+
     nodes, weights = leggauss(32)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
@@ -122,14 +124,13 @@ def _continuum_levels(temperature, mu, field):
         for edge in (mu - field / 2.0, mu + field / 2.0)
         for d in (-spread, 0.0, spread)
     }
-    bounds = sorted({0.0, cut, *(p for p in edges if 0.0 < p < cut)})
+    bounds = np.array(sorted({0.0, cut, *(p for p in edges if 0.0 < p < cut)}))
     x, w = _gauss_rule()
-    energies, weights = [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        e = 0.5 * (b - a) * x + 0.5 * (a + b)
-        energies.append(e)
-        weights.append(0.5 * (b - a) * w * np.sqrt(e))
-    return np.concatenate(energies), np.concatenate(weights)
+    # one row per panel [a, b]: half-width and midpoint as (panels, 1) columns
+    a, b = bounds[:-1, None], bounds[1:, None]
+    half = 0.5 * (b - a)
+    energies = half * x + 0.5 * (a + b)
+    return energies.ravel(), (half * w * np.sqrt(energies)).ravel()
 
 
 def _trap_levels(model, temperature, mu, field):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import occupancy
-from .occupancy import GasParameters, build_occupation_table, total_number
+from .occupancy import GasParameters, total_number
 
 
 class BracketError(ValueError):
@@ -170,10 +170,9 @@ class SweepPoint:
 
 
 def moments_at(model, temperature, p_target=0.0):
-    """Spin moments of a Fermi gas at one (T, P) point, solving the field."""
+    """(H, moments) of a Fermi gas at one (T, P) point, from the field solve's table."""
     params = GasParameters.fermi(temperature)
-    field = occupancy.solve_field_for_polarization(model, params, p_target)
-    table = build_occupation_table(model, GasParameters.fermi(temperature, field=field))
+    field, table = occupancy.solve_field_for_polarization(model, params, p_target)
     return field, collective_variances(table, eta=-1.0)
 
 

@@ -28,16 +28,16 @@ JOBS = {
 
 DIGESTS = {
     ("continuum", "csv"): {
-        "out.csv": "67f35c2daf09e9e7cb220f372bc4c52234409cae839690579d9f7ee16af67027",
+        "out.csv": "9b44f295464b7adbe54d3269b6ab56ac84b4c8bcca1d8171fd578952a847c2a9",
     },
     ("continuum", "json"): {
-        "out.json": "bd14912c717ea8f8a71b22cb9df646dc2846fa68627c9f0a8828dbf37bf7fee5",
+        "out.json": "f99c4b4ced848783bb4f3332f5d3597445073456bcbf5426b449c4e86ad11c68",
     },
     ("grid", "csv"): {
-        "out.csv": "e9f475d574a6183eab1d64f2dc513cd08ded170e11c3baa42cd1e9c4953e7402",
+        "out.csv": "654960cde10f2a3bac7c22b84197c1468aa20a4970a194f485278f46870e3a6d",
     },
     ("grid", "json"): {
-        "out.json": "65e12bec2e91c5ee3cb8ad635b5b5e5670b3f6dd11bb8e8b15b72598a10921e6",
+        "out.json": "250ae544e7a9fa816cfb15400b33bc47610d30409241c27f831c3a72739d74ef",
     },
     ("lattice", "csv"): {
         "out_correlation.csv": "263faa8fb8709339a28409e7ab199801bb34596b3907611a7999579b6e50c27e",
@@ -48,16 +48,16 @@ DIGESTS = {
         "out_structure_factor.json": "49b038f2d2f1dae62148381589e24811775983d0fdef4270433ac6cd5e3f879b",
     },
     ("threshold", "csv"): {
-        "out.csv": "a38fd6c76e471b1531eed64ad4848a508b03183f330a846aa00d7f3e7a1071c6",
+        "out.csv": "b2b7ece7f78860dffe91ec85164647d9c650f23831f3955197007514822c146f",
     },
     ("threshold", "json"): {
-        "out.json": "8c94f08ffb045085faf342702bf0d41e0cb92d52fe0a27c09b96607fe5b49f0c",
+        "out.json": "57251579e4af23cd1260c56e9ee9eb5762219e9b8e2815d6977ed67c07b30611",
     },
     ("trap", "csv"): {
-        "out.csv": "40a0b8a406efd7b2e14ce30b9a0aba8226dd05ba99428ac01ad6af6ed51534ad",
+        "out.csv": "c4bbbfd2ae42c7f3cf3b2815ceebf48395e65f4dfae687a8361f76bdd9d9192c",
     },
     ("trap", "json"): {
-        "out.json": "9b5f962d6b4b773b141075042ce92cf5b886c31e74941e2b87eb3bd9ac9b1bab",
+        "out.json": "924dd9336ccb9686446df9a8e4281463fcbf501e92287398dc2443b4d574cabb",
     },
     ("validate", "csv"): {
         "out.csv": "4a5f6478255cd95ad592bab5f8955ed20c7f8c60c6f1060d8c97ed658b278cce",

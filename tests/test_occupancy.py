@@ -145,7 +145,9 @@ def test_field_reversal_swaps_spins(model):
 def test_polarization_monotone_in_field():
     params = GasParameters.fermi(temperature=0.2, mu=1.0)
     model = FreeSpaceContinuum()
-    ladder = [occupancy.polarization_at(model, params, h) for h in np.linspace(0, 4, 9)]
+    ladder = [
+        occupancy.polarization_at(model, params, h).polarization for h in np.linspace(0, 4, 9)
+    ]
     assert ladder[0] == 0.0
     assert all(b >= a for a, b in zip(ladder, ladder[1:]))
     assert ladder[-1] > 0.9
@@ -154,9 +156,10 @@ def test_polarization_monotone_in_field():
 def test_solve_field_trivial_and_monotone():
     params = GasParameters.fermi(temperature=0.01, mu=1.0)
     model = FreeSpaceContinuum()
-    assert solve_field_for_polarization(model, params, 0.0) == 0.0
-    h_half = solve_field_for_polarization(model, params, 0.5)
-    h_high = solve_field_for_polarization(model, params, 0.999)
+    h_zero, table = solve_field_for_polarization(model, params, 0.0)
+    assert h_zero == 0.0 and total_number(table).polarization == 0.0
+    h_half, _ = solve_field_for_polarization(model, params, 0.5)
+    h_high, _ = solve_field_for_polarization(model, params, 0.999)
     assert h_high > h_half > 0.0
 
 
@@ -164,9 +167,9 @@ def test_solve_field_agrees_with_dense_scan():
     # oracle: interpolate P(H) on a dense 10^4-point field grid
     params = GasParameters.fermi(temperature=0.2, mu=1.0)
     model = FreeSpaceContinuum()
-    h = solve_field_for_polarization(model, params, 0.5)
+    h, _ = solve_field_for_polarization(model, params, 0.5)
     grid = np.linspace(0.0, 2.0, 10001)
-    p_of_h = [occupancy.polarization_at(model, params, x) for x in grid]
+    p_of_h = [occupancy.polarization_at(model, params, x).polarization for x in grid]
     assert h == pytest.approx(np.interp(0.5, p_of_h, grid), abs=1e-6)
 
 
@@ -176,8 +179,9 @@ def test_solve_field_agrees_with_dense_scan():
     ids=["continuum", "grid", "trap"],
 )
 def test_solve_field_evaluation_count(model, monkeypatch):
-    # P evaluations per solve, the bracket doubling included; a bisection
-    # to the same tolerance needs 19-33, so only a superlinear search passes
+    # P evaluations per solve.  Newton from 2T artanh(P) measured 3-6 (mean
+    # 4.6 continuum, 4.6 grid, 4.3 trap); the Illinois search it replaced
+    # took 5-14 (mean 8.7-8.9) and a bisection 19-33
     evals = []
     polarization_at = occupancy.polarization_at
 
@@ -191,10 +195,79 @@ def test_solve_field_evaluation_count(model, monkeypatch):
         for p in (0.1, 0.5, 0.9):
             params = GasParameters.fermi(temperature=t)
             evals.clear()
-            h = solve_field_for_polarization(model, params, p)
+            h, table = solve_field_for_polarization(model, params, p)
             counts.append(len(evals))
-            assert abs(polarization_at(model, params, h) - p) < P_TOLERANCE
-    assert np.mean(counts) <= 12.0
+            assert abs(polarization_at(model, params, h).polarization - p) < P_TOLERANCE
+            assert abs(total_number(table).polarization - p) < P_TOLERANCE
+    assert np.mean(counts) <= 5.0
+
+
+def slope_and_central_difference(model, params, h, step=1e-5):
+    def p_of(field):
+        return occupancy.polarization_at(model, params, field).polarization
+
+    central = (p_of(h + step) - p_of(h - step)) / (2.0 * step)
+    return occupancy.polarization_at(model, params, h).slope, central
+
+
+@pytest.mark.parametrize(
+    "model,rel",
+    # the continuum's panel edges move with H, which the fixed-level slope
+    # leaves out (measured 3.7e-6 at worst); grid and trap levels stay put
+    # (measured 1.3e-10 and 4.7e-10)
+    [(FreeSpaceContinuum(), 1e-5), (FreeSpaceGrid(), 1e-8), (HarmonicTrap(), 1e-8)],
+    ids=["continuum", "grid", "trap"],
+)
+@pytest.mark.parametrize("t", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("h", [0.05, 0.5, 1.5])
+def test_polarization_slope_matches_central_difference(model, rel, t, h):
+    params = GasParameters.fermi(temperature=t)
+    slope, central = slope_and_central_difference(model, params, h)
+    assert slope == pytest.approx(central, rel=rel)
+
+
+@pytest.mark.parametrize("model", [FreeSpaceGrid(), HarmonicTrap()], ids=["grid", "trap"])
+@pytest.mark.parametrize("t,h", [(0.5, 0.1), (1.0, 0.6)])
+def test_bose_polarization_slope_matches_central_difference(model, t, h):
+    # n (1 + n) in place of n (1 - n), at fixed fugacity
+    params = GasParameters.bose(temperature=t, fugacity=0.5)
+    slope, central = slope_and_central_difference(model, params, h)
+    assert slope == pytest.approx(central, rel=1e-8)
+
+
+def fake_polarization(monkeypatch, p_of, slope_of):
+    """Replace P(H) and its slope; returns the list of evaluated fields."""
+    fields = []
+
+    def fake(model, params, field):
+        fields.append(field)
+        return occupancy.FieldResponse(p_of(field), slope_of(field), None)
+
+    monkeypatch.setattr(occupancy, "polarization_at", fake)
+    return fields
+
+
+def test_solve_field_falls_back_when_slope_misleads(monkeypatch):
+    # a negative slope sends every Newton step out of the bracket: H doubles
+    # from 2T artanh(P*) until P > P*, then the bracket is bisected
+    fields = fake_polarization(monkeypatch, lambda h: math.tanh(h / 10.0), lambda h: -1.0)
+    params = GasParameters.fermi(temperature=1.0)
+    h, _ = solve_field_for_polarization(FreeSpaceGrid(), params, 0.5)
+    h0 = 2.0 * math.atanh(0.5)
+    assert fields[:4] == [h0, 2.0 * h0, 4.0 * h0, 8.0 * h0]
+    assert fields[4] == 6.0 * h0  # midpoint of [4 h0, 8 h0]
+    assert abs(math.tanh(h / 10.0) - 0.5) < P_TOLERANCE
+
+
+def test_solve_field_step_polarization_raises_no_convergence(monkeypatch):
+    # a step in P(H) has slope 0 on both sides: bisection closes in on the
+    # jump, but |P - P*| never drops below P_TOLERANCE
+    fields = fake_polarization(monkeypatch, lambda h: 0.0 if h < 0.3 else 0.9, lambda h: 0.0)
+    params = GasParameters.fermi(temperature=1.0)
+    with pytest.raises(NoConvergence):
+        solve_field_for_polarization(FreeSpaceGrid(), params, 0.5)
+    assert len(fields) == occupancy.MAX_ITERATIONS
+    assert abs(fields[-1] - 0.3) < 1e-12
 
 
 def test_bracketed_root_exact_secant_step():
@@ -218,9 +291,10 @@ def test_bracketed_root_step_converges_to_jump():
 
 
 def test_bracketed_root_step_never_meets_ftol():
-    # |f| = 1 everywhere, so only an xtol can stop the search
+    # |f| = 1 everywhere, so f never reaches 0; with xtol = 0 nothing stops
+    # the search before MAX_ITERATIONS
     with pytest.raises(NoConvergence):
-        occupancy._bracketed_root(step_at_0_3, 0.0, 1.0, -1.0, 1.0, ftol=1e-8)
+        occupancy._bracketed_root(step_at_0_3, 0.0, 1.0, -1.0, 1.0, xtol=0.0)
 
 
 def test_solve_field_rejects_bose_and_bad_target():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singletgas import spinmoments
+from singletgas import occupancy, spinmoments
 from singletgas.occupancy import (
     GasParameters,
     OccupationTable,
@@ -168,6 +168,37 @@ def test_sweep_ordering_and_shape():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         singlet_fraction_sweep(FreeSpaceContinuum(), [], [0.0])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [FreeSpaceContinuum(), FreeSpaceGrid(), HarmonicTrap()],
+    ids=["continuum", "grid", "trap"],
+)
+def test_moments_at_builds_one_table_per_p_evaluation(model, monkeypatch):
+    # the field solve's last table is the one the moments come from: no
+    # rebuild after the solve, and one table at H = 0 when P* = 0
+    calls = []
+
+    def counting(name):
+        real = getattr(occupancy, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(occupancy, name, counted)
+
+    counting("polarization_at")
+    counting("build_occupation_table")
+    field, moments = moments_at(model, 0.3, 0.0)
+    assert (field, calls) == (0.0, ["build_occupation_table"])
+    for p in (0.2, 0.6):
+        calls.clear()
+        field, moments = moments_at(model, 0.3, p)
+        evals = calls.count("polarization_at")
+        assert evals > 0 and calls == ["polarization_at", "build_occupation_table"] * evals
+        assert moments.polarization == pytest.approx(p, abs=occupancy.P_TOLERANCE)
 
 
 def test_low_t_limit_approaches_total_singlet():
