@@ -226,15 +226,6 @@ def test_polarization_slope_matches_central_difference(model, rel, t, h):
     assert slope == pytest.approx(central, rel=rel)
 
 
-@pytest.mark.parametrize("model", [FreeSpaceGrid(), HarmonicTrap()], ids=["grid", "trap"])
-@pytest.mark.parametrize("t,h", [(0.5, 0.1), (1.0, 0.6)])
-def test_bose_polarization_slope_matches_central_difference(model, t, h):
-    # n (1 + n) in place of n (1 - n), at fixed fugacity
-    params = GasParameters.bose(temperature=t, fugacity=0.5)
-    slope, central = slope_and_central_difference(model, params, h)
-    assert slope == pytest.approx(central, rel=1e-8)
-
-
 def fake_polarization(monkeypatch, p_of, slope_of):
     """Replace P(H) and its slope; returns the list of evaluated fields."""
     fields = []
@@ -257,6 +248,30 @@ def test_solve_field_falls_back_when_slope_misleads(monkeypatch):
     assert fields[:4] == [h0, 2.0 * h0, 4.0 * h0, 8.0 * h0]
     assert fields[4] == 6.0 * h0  # midpoint of [4 h0, 8 h0]
     assert abs(math.tanh(h / 10.0) - 0.5) < P_TOLERANCE
+
+
+def test_solve_field_open_bracket_growth_is_bounded(monkeypatch):
+    # a tiny positive slope asks for a step of ~1e14; until P > P* closes the
+    # bracket, each evaluated field is at most OPEN_BRACKET_GROWTH times the
+    # one before, so the first field past the root is within that factor of it
+    fields = fake_polarization(monkeypatch, lambda h: math.tanh(h / 10.0), lambda h: 1e-15)
+    params = GasParameters.fermi(temperature=1.0)
+    h, _ = solve_field_for_polarization(FreeSpaceGrid(), params, 0.5)
+    closed = next(i for i, x in enumerate(fields) if math.tanh(x / 10.0) > 0.5)
+    growth = occupancy.OPEN_BRACKET_GROWTH
+    assert closed > 0
+    assert all(b <= growth * a for a, b in zip(fields[:closed], fields[1 : closed + 1]))
+    assert fields[closed] <= growth * h
+    assert abs(math.tanh(h / 10.0) - 0.5) < P_TOLERANCE
+
+
+def test_solve_field_degenerate_trap_converges():
+    # mu = 1 = 30 spacings sits halfway between two shells, so at T = 5e-4
+    # the slope at 2T artanh(P*) is ~exp(-33); the search must still find H
+    params = GasParameters.fermi(temperature=5e-4)
+    h, table = solve_field_for_polarization(HarmonicTrap(), params, 0.5)
+    assert abs(total_number(table).polarization - 0.5) < P_TOLERANCE
+    assert 0.0 < h < 1.0
 
 
 def test_solve_field_step_polarization_raises_no_convergence(monkeypatch):
