@@ -109,10 +109,10 @@ def occupation(energy, params, sigma=SPIN_UP):
     """Mean occupation 1/(exp(beta(e - sigma H - mu)) - eta) of each level.
 
     ``sigma`` may be an array that broadcasts against the energies (a (2, 1)
-    column gives both spins in one pass).  Saturates deterministically
-    outside the double-precision exp range: 0 above, and (Fermi only) 1
-    below.  Bose arguments <= 0 are a domain error (diverging or negative
-    occupation).
+    column gives both spins in one pass).  The exponent is clipped at
+    EXP_GUARD, the double-precision exp range, and levels above it are set
+    to 0; far below it the Fermi formula itself rounds to exactly 1.  Bose
+    arguments <= 0 are a domain error (diverging or negative occupation).
     """
     if params.mu is None:
         raise ValueError("unresolved Bose parameters; call params.resolved(bottom)")
@@ -120,20 +120,20 @@ def occupation(energy, params, sigma=SPIN_UP):
         (np.asarray(energy, dtype=float) - sigma * params.field - params.mu)
         / params.temperature
     )
+    # x is a fresh array, so the kernel runs in place on it: the lattice
+    # passes a million levels
+    above = x > EXP_GUARD
+    np.minimum(x, EXP_GUARD, out=x)
     if params.statistics == "bose":
         if np.any(x <= 0):
             raise DomainError("Bose occupation argument <= 0 (diverging occupation)")
-        out = np.zeros_like(x)
-        ok = x <= EXP_GUARD
-        out[ok] = 1.0 / np.expm1(x[ok])
-        return out if out.ndim else float(out)
-    out = np.empty_like(x)
-    lo, hi = x < -EXP_GUARD, x > EXP_GUARD
-    mid = ~(lo | hi)
-    out[lo] = 1.0
-    out[hi] = 0.0
-    out[mid] = 1.0 / (np.exp(x[mid]) + 1.0)
-    return out if out.ndim else float(out)
+        np.expm1(x, out=x)
+    else:
+        np.exp(x, out=x)
+        x += 1.0
+    np.divide(1.0, x, out=x)
+    x[above] = 0.0
+    return x if x.ndim else float(x)
 
 
 def build_occupation_table(model, params):
@@ -154,14 +154,18 @@ def build_occupation_table(model, params):
     return OccupationTable(energies, weights, n_up, n_down)
 
 
-def total_number(table):
-    """Aggregate (<N>, <N_up>, <N_down>, P) from an occupation table."""
-    n_up = float(np.sum(table.weights * table.n_up))
-    n_down = float(np.sum(table.weights * table.n_down))
+def _number_summary(n_up, n_down):
+    """NumberSummary from the weighted spin sums; the one zero-N check."""
     total = n_up + n_down
     if total <= 0:
         raise DegenerateInputError("zero total particle number, polarization undefined")
     return NumberSummary(total, n_up, n_down, (n_up - n_down) / total)
+
+
+def total_number(table):
+    """Aggregate (<N>, <N_up>, <N_down>, P) from an occupation table."""
+    n = np.array((table.n_up, table.n_down))
+    return _number_summary(*(table.weights * n).sum(axis=1).tolist())
 
 
 class FieldResponse(NamedTuple):
@@ -178,13 +182,16 @@ def polarization_at(model, params, field):
     sigma beta sum_a w_a n_sigma (1 - n_sigma).  It holds the levels fixed, so
     where they move with H (the continuum's panel edges) it is the slope of
     the quadrature at this point's nodes, not of P(H) itself.  Its one user,
-    the field solve, takes Fermi gases only.
+    the field solve, takes Fermi gases only.  N_up, N_down and both
+    fluctuation sums come from one (4, levels) row reduction.
     """
     table = build_occupation_table(model, replace(params, field=field))
-    nums = total_number(table)
-    w, eta = table.weights, params.eta
-    fluct_up = float(np.sum(w * table.n_up * (1.0 + eta * table.n_up)))
-    fluct_down = float(np.sum(w * table.n_down * (1.0 + eta * table.n_down)))
+    n = np.array((table.n_up, table.n_down))
+    wn = table.weights * n
+    n_up, n_down, fluct_up, fluct_down = np.concatenate(
+        (wn, wn * (1.0 + params.eta * n))
+    ).sum(axis=1).tolist()
+    nums = _number_summary(n_up, n_down)
     # P = (N_up - N_down) / N with dN_up/dH = fluct_up / 2T, dN_down/dH = -fluct_down / 2T
     slope = ((fluct_up + fluct_down) - nums.polarization * (fluct_up - fluct_down)) / (
         2.0 * params.temperature * nums.total
@@ -223,16 +230,17 @@ def _bracketed_root(f, a, b, fa, fb, xtol=0.0):
     raise NoConvergence(f"root search did not converge in {MAX_ITERATIONS} steps")
 
 
-def solve_field_for_polarization(model, params, p_target):
+def solve_field_for_polarization(model, params, p_target, start=None):
     """Zeeman field H >= 0 with |P(H) - p_target| < P_TOLERANCE, and its table.
 
     Returns (H, table), the table being that of the last P evaluation, so the
     caller needs no second build; p_target = 0 gives H = 0 and the table
     there without a search.  Newton on the slope from ``polarization_at``,
     safeguarded by a bracket as in ``rtsafe`` (Numerical Recipes 9.4): it
-    starts from H = 2T artanh(p_target), exact in the non-degenerate limit,
-    and keeps a bracket [lo, hi] from the sign of P - p_target (P is monotone
-    in H with P(0) = 0).  While hi is still open, a step grows H by at most
+    starts from ``start`` when that is positive and finite, else from
+    H = 2T artanh(p_target), exact in the non-degenerate limit, and keeps a
+    bracket [lo, hi] from the sign of P - p_target (P is monotone in H with
+    P(0) = 0).  While hi is still open, a step grows H by at most
     ``OPEN_BRACKET_GROWTH``, and a step that does not grow it doubles H; once
     the bracket is closed, a step that leaves it is replaced by bisection.
     Fermi statistics only.
@@ -244,7 +252,10 @@ def solve_field_for_polarization(model, params, p_target):
     if p_target == 0.0:
         return 0.0, build_occupation_table(model, replace(params, field=0.0))
     lo, hi = 0.0, math.inf
-    h = 2.0 * params.temperature * math.atanh(p_target)
+    if start is not None and 0.0 < start < math.inf:
+        h = start
+    else:
+        h = 2.0 * params.temperature * math.atanh(p_target)
     for _ in range(MAX_ITERATIONS):
         p, slope, table = polarization_at(model, params, h)
         residual = p - p_target

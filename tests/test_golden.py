@@ -48,10 +48,10 @@ DIGESTS = {
         "out_structure_factor.json": "49b038f2d2f1dae62148381589e24811775983d0fdef4270433ac6cd5e3f879b",
     },
     ("threshold", "csv"): {
-        "out.csv": "b2b7ece7f78860dffe91ec85164647d9c650f23831f3955197007514822c146f",
+        "out.csv": "c9a1e83e98f17b6db9e60bb4d589ff2e2c974c21a53f401e07fbfef6aa4f6997",
     },
     ("threshold", "json"): {
-        "out.json": "57251579e4af23cd1260c56e9ee9eb5762219e9b8e2815d6977ed67c07b30611",
+        "out.json": "1ba4691a04731d6d40ebe08c54e952d45f211b71e09f9190b2f4c3d21df8313d",
     },
     ("trap", "csv"): {
         "out.csv": "c4bbbfd2ae42c7f3cf3b2815ceebf48395e65f4dfae687a8361f76bdd9d9192c",

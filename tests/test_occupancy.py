@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from singletgas import occupancy
 from singletgas.occupancy import (
+    EXP_GUARD,
     P_TOLERANCE,
+    SPIN_DOWN,
+    SPIN_UP,
+    SPINS,
     DegenerateInputError,
     DomainError,
     GasParameters,
@@ -70,6 +74,75 @@ def test_saturation_guards():
     assert occupation(-1000.0, params) == 1.0
     bose = GasParameters("bose", temperature=1e-4, mu=-1.0)
     assert occupation(1000.0, bose) == 0.0
+
+
+def masked_occupation(energy, params, sigma=SPIN_UP):
+    """Reference: the occupation kernel with one mask per saturation regime."""
+    x = np.asarray(
+        (np.asarray(energy, dtype=float) - sigma * params.field - params.mu)
+        / params.temperature
+    )
+    if params.statistics == "bose":
+        if np.any(x <= 0):
+            raise DomainError("Bose occupation argument <= 0")
+        out = np.zeros_like(x)
+        ok = x <= EXP_GUARD
+        out[ok] = 1.0 / np.expm1(x[ok])
+        return out if out.ndim else float(out)
+    out = np.empty_like(x)
+    lo, hi = x < -EXP_GUARD, x > EXP_GUARD
+    mid = ~(lo | hi)
+    out[lo] = 1.0
+    out[hi] = 0.0
+    out[mid] = 1.0 / (np.exp(x[mid]) + 1.0)
+    return out if out.ndim else float(out)
+
+
+def kernel_outcome(kernel, energy, params, sigma):
+    """The result's type, shape and bytes, or the type of what it raised."""
+    try:
+        out = kernel(energy, params, sigma)
+    except (DomainError, RuntimeWarning) as err:
+        return type(err)
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+# the saturation edges, one ulp either side of them, and both infinities
+EXPONENT_EDGES = [
+    x
+    for guard in (EXP_GUARD, -EXP_GUARD)
+    for x in (guard, math.nextafter(guard, math.inf), math.nextafter(guard, -math.inf))
+] + [math.inf, -math.inf]
+
+
+@settings(max_examples=300)
+@given(
+    statistics=st.sampled_from(["fermi", "bose"]),
+    shape=st.sampled_from(["scalar", "1-D", "(2, k)"]),
+    # (T, mu, H) = (1, 0, 0) makes the exponent the energy itself
+    point=st.one_of(
+        st.just((1.0, 0.0, 0.0)),
+        st.tuples(st.floats(1e-3, 10.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    ),
+    energies=st.lists(
+        st.one_of(st.sampled_from(EXPONENT_EDGES), st.floats(-800.0, 800.0)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_occupation_matches_masked_reference(statistics, shape, point, energies):
+    t, mu, h = point
+    params = GasParameters(statistics, t, mu=mu, field=h)
+    if shape == "scalar":
+        cases = [(energies[0], SPIN_UP), (energies[0], SPIN_DOWN)]
+    elif shape == "1-D":
+        cases = [(np.array(energies), SPIN_UP)]
+    else:
+        cases = [(np.array(energies), SPINS)]
+    for energy, sigma in cases:
+        assert kernel_outcome(occupation, energy, params, sigma) == kernel_outcome(
+            masked_occupation, energy, params, sigma
+        )
 
 
 @given(delta=st.floats(0.0, 50.0), t=st.floats(0.05, 5.0))
@@ -262,6 +335,31 @@ def test_solve_field_open_bracket_growth_is_bounded(monkeypatch):
     assert closed > 0
     assert all(b <= growth * a for a, b in zip(fields[:closed], fields[1 : closed + 1]))
     assert fields[closed] <= growth * h
+    assert abs(math.tanh(h / 10.0) - 0.5) < P_TOLERANCE
+
+
+def test_solve_field_warm_start_at_root_takes_one_evaluation(monkeypatch):
+    model, params = HarmonicTrap(), GasParameters.fermi(temperature=0.3)
+    h_root, _ = solve_field_for_polarization(model, params, 0.5)
+    fields = []
+    polarization_at = occupancy.polarization_at
+
+    def counted(*args):
+        fields.append(args[2])
+        return polarization_at(*args)
+
+    monkeypatch.setattr(occupancy, "polarization_at", counted)
+    h, table = solve_field_for_polarization(model, params, 0.5, start=h_root)
+    assert fields == [h_root] and h == h_root
+    assert abs(total_number(table).polarization - 0.5) < P_TOLERANCE
+
+
+@pytest.mark.parametrize("start", [None, math.nan, 0.0, -0.3, math.inf])
+def test_solve_field_rejected_start_falls_back_to_cold_start(start, monkeypatch):
+    fields = fake_polarization(monkeypatch, lambda h: math.tanh(h / 10.0), lambda h: 0.1)
+    params = GasParameters.fermi(temperature=1.0)
+    h, _ = solve_field_for_polarization(FreeSpaceGrid(), params, 0.5, start=start)
+    assert fields[0] == 2.0 * math.atanh(0.5)
     assert abs(math.tanh(h / 10.0) - 0.5) < P_TOLERANCE
 
 

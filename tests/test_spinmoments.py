@@ -296,6 +296,54 @@ def test_threshold_evaluation_count(name, model, t_bracket, monkeypatch):
     assert np.mean(counts) <= 14.0
 
 
+def test_threshold_p_evaluation_count(monkeypatch):
+    # P evaluations per T* search.  Warm-started field solves measured 27-36
+    # (mean 30.9); cold starts from 2T artanh(P*) took 43-58 (mean 49.9)
+    calls = []
+    polarization_at = occupancy.polarization_at
+
+    def counted(*args):
+        calls.append(args)
+        return polarization_at(*args)
+
+    monkeypatch.setattr(occupancy, "polarization_at", counted)
+    counts = []
+    for model, t_bracket in (
+        (FreeSpaceContinuum(), (0.02, 2.0)),
+        (FreeSpaceGrid(), (0.02, 2.0)),
+        (HarmonicTrap(), (0.05, 1.0)),
+    ):
+        for p in (0.2, 0.5, 0.8):
+            calls.clear()
+            find_threshold(model, p, t_bracket=t_bracket)
+            counts.append(len(calls))
+    assert np.mean(counts) <= 34.0
+
+
+def test_secant_field_extrapolates_last_two_points():
+    secant = spinmoments._secant_field
+    assert secant([], 0.5) is None
+    assert secant([(0.4, 1.0)], 0.5) is None
+    assert secant([(0.4, 1.0), (0.4, 2.0)], 0.5) is None
+    assert secant([(9.0, 9.0), (0.2, 1.0), (0.4, 2.0)], 0.5) == pytest.approx(2.5)
+    # a line that crosses H = 0 gives a start the field solve rejects
+    assert secant([(0.2, 1.0), (0.4, 0.5)], 1.0) < 0.0
+
+
+def test_threshold_solves_start_from_the_secant_field(monkeypatch):
+    starts = []
+    real_solve = occupancy.solve_field_for_polarization
+
+    def recorded(model, params, p_target, start=None):
+        starts.append(start)
+        return real_solve(model, params, p_target, start)
+
+    monkeypatch.setattr(occupancy, "solve_field_for_polarization", recorded)
+    find_threshold(HarmonicTrap(), 0.5, t_bracket=(0.05, 1.0))
+    assert starts[:2] == [None, None]
+    assert len(starts) > 2 and all(s > 0.0 for s in starts[2:])
+
+
 def test_free_space_threshold():
     t_star = find_threshold(FreeSpaceContinuum(), 0.0)
     assert t_star == pytest.approx(1.12, abs=0.02)
