@@ -18,6 +18,6 @@ sf = lattice.structure_factor(lattice.spin_correlation_map(64))
 qfi = lattice.qfi_staggered(sf)
 print("wrote", sorted(p.name for p in OUT.glob("lattice*")))
 print(
-    f"S(0,0)={sf.values[0, 0]:.5f}  S(pi,pi)={sf.values[32, 32]:.5f}  "
+    f"S(0,0)={sf[0, 0]:.5f}  S(pi,pi)={sf[32, 32]:.5f}  "
     f"QFI density={qfi.density:.5f}  witnessed={qfi.witnessed}"
 )

@@ -3,9 +3,7 @@ spin-1/2 quantum gases, plus lattice spin correlations and the
 staggered-QFI witness."""
 
 from .lattice import (
-    CorrelationMap,
     QfiResult,
-    StructureFactor,
     first_order_correlation,
     qfi_staggered,
     spin_correlation_map,
@@ -17,7 +15,7 @@ from .occupancy import (
     build_occupation_table,
     occupation,
     solve_field_for_polarization,
-    total_number,
+    spin_sums,
 )
 from .oracle import FockEnsemble, exact_moments
 from .spectra import (
@@ -38,7 +36,6 @@ from .spinmoments import (
 )
 
 __all__ = [
-    "CorrelationMap",
     "FockEnsemble",
     "FreeSpaceContinuum",
     "FreeSpaceGrid",
@@ -47,7 +44,6 @@ __all__ = [
     "OccupationTable",
     "QfiResult",
     "SpinMoments",
-    "StructureFactor",
     "WitnessReport",
     "build_occupation_table",
     "collective_variances",
@@ -61,8 +57,8 @@ __all__ = [
     "singlet_fraction_sweep",
     "solve_field_for_polarization",
     "spin_correlation_map",
+    "spin_sums",
     "structure_factor",
-    "total_number",
     "witness_report",
     "xi_squared",
 ]

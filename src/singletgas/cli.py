@@ -244,9 +244,8 @@ def run_lattice(cfg):
     sf = lattice.structure_factor(cmap)
     out = Path(cfg.out)
     L = cfg.lattice_size
-    maps = (("_correlation", cmap.values), ("_structure_factor", sf.values))
-    for name, values in maps:
-        path = out.with_name(out.stem + name + (out.suffix or ".csv"))
+    for name, values in (("_correlation", cmap), ("_structure_factor", sf)):
+        path = out.with_name(out.stem + name + (out.suffix or "." + cfg.format))
         _write(path, cfg, f"L,{L}", ("L", L), "values", values)
 
 

@@ -3,7 +3,6 @@ tight-binding Fermi gas on an L x L periodic square lattice."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -16,30 +15,6 @@ GROUND_STATE_T = 1e-3  # in units of the hopping; see module notes below
 # "T -> 0" is taken as T = 1e-3 J: the Fermi function then puts n_k = 1/2
 # on the zero-energy shell, which is the correct average over the
 # degenerate half-filled ground states without explicit bookkeeping.
-
-
-@dataclass(frozen=True)
-class CorrelationMap:
-    """<S^z_0 S^z_r> on the displacement torus of an L x L lattice."""
-
-    size: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.size, self.size):
-            raise ValueError("correlation map shape does not match its size")
-
-
-@dataclass(frozen=True)
-class StructureFactor:
-    """S(k) over the discrete Brillouin zone k = 2 pi (mx, my) / L."""
-
-    size: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.size, self.size):
-            raise ValueError("structure factor shape does not match its size")
 
 
 class QfiResult(NamedTuple):
@@ -74,7 +49,8 @@ def first_order_correlation(size, temperature=GROUND_STATE_T):
 def spin_correlation_map(size, temperature=GROUND_STATE_T):
     """<S^z_0 S^z_r> for the balanced gas via Wick contractions of G.
 
-    Onsite: (1/4) sum_sigma n(1-n); offsite: -(1/2) G(r)^2.
+    An (L, L) array over the displacement torus.  Onsite: (1/4) sum_sigma
+    n(1-n); offsite: -(1/2) G(r)^2.
     """
     g = first_order_correlation(size, temperature)
     values = -0.5 * g**2
@@ -82,22 +58,23 @@ def spin_correlation_map(size, temperature=GROUND_STATE_T):
     values[0, 0] = 0.5 * filling * (1.0 - filling)
     if not 0.0 <= values[0, 0] <= 0.125 + IMAG_TOL:
         raise AssertionError(f"onsite correlation {values[0, 0]} outside [0, 1/8]")
-    return CorrelationMap(size, values)
+    return values
 
 
 def structure_factor(cmap):
-    """Discrete Fourier transform of the correlation map over displacements.
+    """S(k) over the discrete Brillouin zone k = 2 pi (mx, my) / L, an (L, L) array.
 
-    The result is a variance of a collective operator per site, hence real
-    and nonnegative; tiny negative round-off is clipped at zero.
+    The discrete Fourier transform of the correlation map over displacements.
+    It is a variance of a collective operator per site, hence real and
+    nonnegative; tiny negative round-off is clipped at zero.
     """
-    s = np.fft.fft2(cmap.values)
+    s = np.fft.fft2(cmap)
     if np.abs(s.imag).max() > IMAG_TOL:
         raise AssertionError("structure factor has a nonzero imaginary part")
     s = s.real
     if s.min() < -1e-10:
         raise AssertionError(f"structure factor significantly negative: {s.min()}")
-    return StructureFactor(cmap.size, np.maximum(s, 0.0))
+    return np.maximum(s, 0.0)
 
 
 def qfi_staggered(sf):
@@ -106,8 +83,8 @@ def qfi_staggered(sf):
     Its density (QFI per site) exceeding unity would witness multipartite
     entanglement among the lattice sites; the comparison is strict.
     """
-    L = sf.size
-    s_pipi = float(sf.values[L // 2, L // 2])
+    L = sf.shape[0]
+    s_pipi = float(sf[L // 2, L // 2])
     qfi = 4.0 * L**2 * s_pipi
     density = qfi / L**2
     return QfiResult(qfi, density, density > 1.0)

@@ -1,4 +1,4 @@
-"""Bose-Einstein / Fermi-Dirac occupations, particle numbers, field solver."""
+"""Bose-Einstein / Fermi-Dirac occupations, their spin sums, field solver."""
 
 from __future__ import annotations
 
@@ -88,21 +88,13 @@ class GasParameters:
         return replace(self, mu=mu)
 
 
-class NumberSummary(NamedTuple):
-    total: float
-    up: float
-    down: float
-    polarization: float
-
-
 @dataclass(frozen=True)
 class OccupationTable:
     """Mean occupations per level and spin over an enumerated spectrum."""
 
     energies: np.ndarray
     weights: np.ndarray
-    n_up: np.ndarray
-    n_down: np.ndarray
+    n: np.ndarray  # (2, levels): the up row, then the down row
 
 
 def occupation(energy, params, sigma=SPIN_UP):
@@ -147,56 +139,71 @@ def build_occupation_table(model, params):
     )
     params = params.resolved(spectra.band_bottom(model))
     try:
-        n_up, n_down = occupation(energies, params, SPINS)
+        n = occupation(energies, params, SPINS)
     except DomainError as err:
         bad = int(np.argmin(energies))
         raise DomainError(f"{err} (first offending level index {bad})") from None
-    return OccupationTable(energies, weights, n_up, n_down)
+    return OccupationTable(energies, weights, n)
 
 
-def _number_summary(n_up, n_down):
-    """NumberSummary from the weighted spin sums; the one zero-N check."""
-    total = n_up + n_down
+class SpinSums(NamedTuple):
+    """The weighted sums over a table that every spin moment is built from."""
+
+    total: float
+    up: float
+    down: float
+    polarization: float
+    fluct_up: float  # F_up = sum_a w_a n_up (1 + eta n_up)
+    fluct_down: float
+    exchange: float  # eta sum_a w_a n_up n_down
+
+
+def spin_sums(table, eta):
+    """SpinSums of ``table`` for statistics sign ``eta`` (-1 Fermi, +1 Bose).
+
+    The one place a table's occupations are summed: w n_up, w n_down, both
+    fluctuation sums and (w n_up) n_down come from one (5, levels) row
+    reduction.  Zero total number is a DegenerateInputError.
+    """
+    if eta not in (1, -1):
+        raise ValueError(f"statistics sign must be +-1, got {eta}")
+    n = table.n
+    wn = table.weights * n
+    up, down, fluct_up, fluct_down, cross = np.concatenate(
+        (wn, wn * (1.0 + eta * n), wn[:1] * n[1:])
+    ).sum(axis=1).tolist()
+    total = up + down
     if total <= 0:
         raise DegenerateInputError("zero total particle number, polarization undefined")
-    return NumberSummary(total, n_up, n_down, (n_up - n_down) / total)
-
-
-def total_number(table):
-    """Aggregate (<N>, <N_up>, <N_down>, P) from an occupation table."""
-    n = np.array((table.n_up, table.n_down))
-    return _number_summary(*(table.weights * n).sum(axis=1).tolist())
+    return SpinSums(
+        total, up, down, (up - down) / total, fluct_up, fluct_down, eta * cross
+    )
 
 
 class FieldResponse(NamedTuple):
     polarization: float
     slope: float  # dP/dH at fixed levels, (T, mu)
-    table: OccupationTable
+    sums: SpinSums
 
 
 def polarization_at(model, params, field):
-    """P, dP/dH and the occupation table at the given Zeeman field, fixed (T, mu).
+    """P, dP/dH and the table's SpinSums at the given Zeeman field, fixed (T, mu).
 
     The slope is the fluctuation-dissipation sum over the same table:
     dN_sigma/dH = sigma beta sum_a w_a n (1 + eta n), which for fermions is
     sigma beta sum_a w_a n_sigma (1 - n_sigma).  It holds the levels fixed, so
     where they move with H (the continuum's panel edges) it is the slope of
     the quadrature at this point's nodes, not of P(H) itself.  Its one user,
-    the field solve, takes Fermi gases only.  N_up, N_down and both
-    fluctuation sums come from one (4, levels) row reduction.
+    the field solve, takes Fermi gases only.
     """
     table = build_occupation_table(model, replace(params, field=field))
-    n = np.array((table.n_up, table.n_down))
-    wn = table.weights * n
-    n_up, n_down, fluct_up, fluct_down = np.concatenate(
-        (wn, wn * (1.0 + params.eta * n))
-    ).sum(axis=1).tolist()
-    nums = _number_summary(n_up, n_down)
-    # P = (N_up - N_down) / N with dN_up/dH = fluct_up / 2T, dN_down/dH = -fluct_down / 2T
-    slope = ((fluct_up + fluct_down) - nums.polarization * (fluct_up - fluct_down)) / (
-        2.0 * params.temperature * nums.total
+    sums = spin_sums(table, params.eta)
+    f_up, f_down = sums.fluct_up, sums.fluct_down
+    # P = (N_up - N_down) / N with dN_up/dH = f_up / 2T, dN_down/dH = -f_down / 2T
+    slope = ((f_up + f_down) - sums.polarization * (f_up - f_down)) / (
+        2.0 * params.temperature * sums.total
     )
-    return FieldResponse(nums.polarization, slope, table)
+    return FieldResponse(sums.polarization, slope, sums)
 
 
 P_TOLERANCE = 1e-8
@@ -208,39 +215,17 @@ MAX_ITERATIONS = 200
 OPEN_BRACKET_GROWTH = 16.0
 
 
-def _bracketed_root(f, a, b, fa, fb, xtol=0.0):
-    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
-
-    Illinois false position (Dowell & Jarratt 1971): a secant step that lands
-    on the last point's side halves the retained end's f, so no end stalls.
-    Returns x once f(x) == 0, the midpoint once |b - a| < xtol.
-    """
-    for _ in range(MAX_ITERATIONS):
-        if abs(b - a) < xtol:
-            return 0.5 * (a + b)
-        x = b - fb * (b - a) / (fb - fa)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fb > 0.0):
-            fa *= 0.5
-        else:
-            a, fa = b, fb
-        b, fb = x, fx
-    raise NoConvergence(f"root search did not converge in {MAX_ITERATIONS} steps")
-
-
 def solve_field_for_polarization(model, params, p_target, start=None):
-    """Zeeman field H >= 0 with |P(H) - p_target| < P_TOLERANCE, and its table.
+    """Zeeman field H >= 0 with |P(H) - p_target| < P_TOLERANCE, and its sums.
 
-    Returns (H, table), the table being that of the last P evaluation, so the
-    caller needs no second build; p_target = 0 gives H = 0 and the table
-    there without a search.  Newton on the slope from ``polarization_at``,
-    safeguarded by a bracket as in ``rtsafe`` (Numerical Recipes 9.4): it
-    starts from ``start`` when that is positive and finite, else from
-    H = 2T artanh(p_target), exact in the non-degenerate limit, and keeps a
-    bracket [lo, hi] from the sign of P - p_target (P is monotone in H with
-    P(0) = 0).  While hi is still open, a step grows H by at most
+    Returns (H, sums), the SpinSums of the last P evaluation's table, so the
+    caller needs no second build or reduction; p_target = 0 gives H = 0 and
+    the sums there without a search.  Newton on the slope from
+    ``polarization_at``, safeguarded by a bracket as in ``rtsafe`` (Numerical
+    Recipes 9.4): it starts from ``start`` when that is positive and finite,
+    else from H = 2T artanh(p_target), exact in the non-degenerate limit, and
+    keeps a bracket [lo, hi] from the sign of P - p_target (P is monotone in
+    H with P(0) = 0).  While hi is still open, a step grows H by at most
     ``OPEN_BRACKET_GROWTH``, and a step that does not grow it doubles H; once
     the bracket is closed, a step that leaves it is replaced by bisection.
     Fermi statistics only.
@@ -250,17 +235,18 @@ def solve_field_for_polarization(model, params, p_target, start=None):
     if not 0.0 <= p_target < 1.0:
         raise DomainError(f"target polarization must be in [0, 1), got {p_target}")
     if p_target == 0.0:
-        return 0.0, build_occupation_table(model, replace(params, field=0.0))
+        table = build_occupation_table(model, replace(params, field=0.0))
+        return 0.0, spin_sums(table, params.eta)
     lo, hi = 0.0, math.inf
     if start is not None and 0.0 < start < math.inf:
         h = start
     else:
         h = 2.0 * params.temperature * math.atanh(p_target)
     for _ in range(MAX_ITERATIONS):
-        p, slope, table = polarization_at(model, params, h)
+        p, slope, sums = polarization_at(model, params, h)
         residual = p - p_target
         if abs(residual) < P_TOLERANCE:
-            return h, table
+            return h, sums
         if residual < 0.0:
             lo = h
         else:

@@ -205,13 +205,9 @@ def closed_form_moments(ens):
     params = occupancy.GasParameters(
         ens.statistics, 1.0 / ens.beta, mu=ens.mu, field=ens.field
     )
-    table = OccupationTable(
-        energies,
-        np.ones_like(energies),
-        occupancy.occupation(energies, params, occupancy.SPIN_UP),
-        occupancy.occupation(energies, params, occupancy.SPIN_DOWN),
-    )
-    return spinmoments.collective_variances(table, params.eta)
+    n = occupancy.occupation(energies, params, occupancy.SPINS)
+    table = OccupationTable(energies, np.ones_like(energies), n)
+    return spinmoments.collective_variances(occupancy.spin_sums(table, params.eta))
 
 
 def oracle_deviation(ens):

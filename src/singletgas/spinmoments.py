@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import occupancy
 from .occupancy import GasParameters
 
@@ -57,30 +55,21 @@ class WitnessReport:
         return (self.inequality_sum, self.inequality_single, self.inequality_pair)
 
 
-def collective_variances(table, eta):
-    """Collective-spin moments from an occupation table.
+def collective_variances(sums):
+    """Collective-spin moments from a table's ``occupancy.SpinSums``.
 
-    Var(Jz) = <N>/4 + (eta/4) sum_a w_a (n_up^2 + n_down^2) and
-    Var(Jx) = Var(Jy) = <N>/4 + (eta/2) sum_a w_a n_up n_down, the level
-    weights multiplying each contribution.
+    Var(Jz) = (F_up + F_down) / 4 with F_sigma = sum_a w_a n_sigma (1 + eta
+    n_sigma), and Var(Jx) = Var(Jy) = <N>/4 + X/2 with the exchange sum
+    X = eta sum_a w_a n_up n_down.
     """
-    if eta not in (1, -1, 1.0, -1.0):
-        raise ValueError(f"statistics sign must be +-1, got {eta}")
-    w, n_up, n_down = table.weights, table.n_up, table.n_down
-    wn_up = w * n_up
-    up, down, squares, cross = np.array(
-        (wn_up, w * n_down, w * (n_up**2 + n_down**2), wn_up * n_down)
-    ).sum(axis=1).tolist()
-    nums = occupancy._number_summary(up, down)
-    var_jz = nums.total / 4.0 + (eta / 4.0) * squares
-    var_jxy = nums.total / 4.0 + (eta / 2.0) * cross
+    var_jxy = sums.total / 4.0 + sums.exchange / 2.0
     return SpinMoments(
-        mean_n=nums.total,
-        mean_jz=0.5 * (nums.up - nums.down),
+        mean_n=sums.total,
+        mean_jz=0.5 * (sums.up - sums.down),
         var_jx=var_jxy,
         var_jy=var_jxy,
-        var_jz=var_jz,
-        polarization=nums.polarization,
+        var_jz=(sums.fluct_up + sums.fluct_down) / 4.0,
+        polarization=sums.polarization,
     )
 
 
@@ -170,16 +159,16 @@ class SweepPoint:
 
 
 def moments_at(model, temperature, p_target=0.0, start=None):
-    """(H, moments) of a Fermi gas at one (T, P) point, from the field solve's table.
+    """(H, moments) of a Fermi gas at one (T, P) point, from the field solve's sums.
 
     ``start`` is the field solve's first guess (see
     ``occupancy.solve_field_for_polarization``).
     """
     params = GasParameters.fermi(temperature)
-    field, table = occupancy.solve_field_for_polarization(
+    field, sums = occupancy.solve_field_for_polarization(
         model, params, p_target, start
     )
-    return field, collective_variances(table, eta=-1.0)
+    return field, collective_variances(sums)
 
 
 def singlet_fraction_sweep(model, t_grid, p_grid):
@@ -202,6 +191,30 @@ def singlet_fraction_sweep(model, t_grid, p_grid):
 
 
 T_TOLERANCE = 1e-6
+
+
+def _bracketed_root(f, a, b, fa, fb, xtol=0.0):
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
+
+    Illinois false position (Dowell & Jarratt 1971): a secant step that lands
+    on the last point's side halves the retained end's f, so no end stalls.
+    Returns x once f(x) == 0, the midpoint once |b - a| < xtol.
+    """
+    for _ in range(occupancy.MAX_ITERATIONS):
+        if abs(b - a) < xtol:
+            return 0.5 * (a + b)
+        x = b - fb * (b - a) / (fb - fa)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fb > 0.0):
+            fa *= 0.5
+        else:
+            a, fa = b, fb
+        b, fb = x, fx
+    raise occupancy.NoConvergence(
+        f"root search did not converge in {occupancy.MAX_ITERATIONS} steps"
+    )
 
 
 def _secant_field(solved, temperature):
@@ -240,4 +253,4 @@ def find_threshold(model, p_target=0.0, t_bracket=(0.02, 2.0)):
         raise BracketError(
             f"f_s does not change sign on [{lo}, {hi}] at P={p_target}"
         )
-    return occupancy._bracketed_root(f_s, lo, hi, f_lo, f_hi, xtol=T_TOLERANCE)
+    return _bracketed_root(f_s, lo, hi, f_lo, f_hi, xtol=T_TOLERANCE)

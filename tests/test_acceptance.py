@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from singletgas import cli, lattice, occupancy, oracle, spinmoments
-from singletgas.occupancy import GasParameters, build_occupation_table, total_number
+from singletgas.occupancy import GasParameters, build_occupation_table, spin_sums
 from singletgas.rng import Lcg64
 from singletgas.spectra import FreeSpaceContinuum, FreeSpaceGrid, HarmonicTrap
 from singletgas.spinmoments import (
@@ -68,7 +68,7 @@ def test_criterion_3_trap_threshold_and_number():
     start = time.perf_counter()
     t_star = find_threshold(TRAP, 0.0, t_bracket=(0.05, 1.0))
     table = build_occupation_table(TRAP, GasParameters.fermi(0.02, 1.0))
-    n = total_number(table).total
+    n = spin_sums(table, eta=-1.0).total
     elapsed = time.perf_counter() - start
     ok = abs(t_star - 0.368) <= 0.005 and 0.9e4 <= n <= 2e4
     _report(
@@ -117,7 +117,7 @@ def test_criterion_5_bose_property_suite():
         h = 0.9 * gen.uniform(0.0, 1.0) * 2.0 * t * math.log(1.0 / z)
         params = GasParameters.bose(t, z, field=h)
         table = build_occupation_table(model, params)
-        moments = collective_variances(table, eta=+1.0)
+        moments = collective_variances(spin_sums(table, eta=+1.0))
         # the mean-N evaluation of the nonlinear inequalities is only
         # meaningful well above the N = 2 floor
         if moments.mean_n < 6.0:
@@ -164,16 +164,16 @@ def test_criterion_7_lattice_suite():
     cmap = lattice.spin_correlation_map(L)
     sf = lattice.structure_factor(cmap)
     qfi = lattice.qfi_staggered(sf)
-    offsite = cmap.values.copy()
+    offsite = cmap.copy()
     offsite[0, 0] = -1.0
     checks = [
-        abs(cmap.values[0, 0] - 0.125) <= 1e-6,
+        abs(cmap[0, 0] - 0.125) <= 1e-6,
         bool(np.all(offsite <= 0.0)),
-        abs(cmap.values[1, 0] - (-0.0205)) <= 0.0005,
-        abs(sf.values.mean() - cmap.values[0, 0]) <= 1e-10,
-        sf.values[0, 0] <= 2.0 / L,
-        np.unravel_index(np.argmax(sf.values), sf.values.shape) == (L // 2, L // 2),
-        sf.values[L // 2, L // 2] < 0.25,
+        abs(cmap[1, 0] - (-0.0205)) <= 0.0005,
+        abs(sf.mean() - cmap[0, 0]) <= 1e-10,
+        sf[0, 0] <= 2.0 / L,
+        np.unravel_index(np.argmax(sf), sf.shape) == (L // 2, L // 2),
+        sf[L // 2, L // 2] < 0.25,
         qfi.density < 1.0 and not qfi.witnessed,
     ]
     elapsed = time.perf_counter() - start

@@ -147,8 +147,8 @@ def test_lattice_json_parses_to_rounded_maps(tmp_path):
     assert status == 0
     cmap = lattice.spin_correlation_map(16)
     maps = {
-        "maps_correlation.json": cmap.values,
-        "maps_structure_factor.json": lattice.structure_factor(cmap).values,
+        "maps_correlation.json": cmap,
+        "maps_structure_factor.json": lattice.structure_factor(cmap),
     }
     for name, values in maps.items():
         payload = json.loads((tmp_path / name).read_text())
@@ -158,6 +158,18 @@ def test_lattice_json_parses_to_rounded_maps(tmp_path):
             [float(format(v, ".12g")) for v in row] for row in values
         ]
         assert all(type(v) is float for row in payload["values"] for v in row)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lattice_suffixless_out_takes_format_suffix(tmp_path, fmt):
+    out = tmp_path / "lat"
+    job = f"workflow = lattice\nlattice_size = 4\nout = {out}\nformat = {fmt}\n"
+    assert run_cli(tmp_path, job) == 0
+    names = ["lat_correlation", "lat_structure_factor"]
+    assert sorted(p.name for p in tmp_path.glob("lat_*")) == [f"{n}.{fmt}" for n in names]
+    if fmt == "json":
+        for name in names:
+            assert json.loads((tmp_path / f"{name}.json").read_text())["L"] == 4
 
 
 def test_validate_workflow_zero_failures(tmp_path):
@@ -202,11 +214,11 @@ def test_non_finite_output_refused(tmp_path, monkeypatch):
 
     def nan_in_last_row(size, **kwargs):
         cmap = real_map(size, **kwargs)
-        cmap.values[-1, size // 2] = np.nan
+        cmap[-1, size // 2] = np.nan
         return cmap
 
     def broken(cmap):
-        return lattice.StructureFactor(cmap.size, np.full(cmap.values.shape, np.nan))
+        return np.full(cmap.shape, np.nan)
 
     for fmt in ("csv", "json"):
         out = tmp_path / f"maps.{fmt}"
@@ -292,7 +304,7 @@ def test_writer_bytes_on_fig_lattice_maps(tmp_path, fmt):
     path = tmp_path / f"out.{fmt}"
     cfg = build_config({"workflow": "lattice", "lattice_size": 64, "format": fmt})
     head = ("L,64", ("L", 64), "values")
-    for values in (cmap.values, lattice.structure_factor(cmap).values):
+    for values in (cmap, lattice.structure_factor(cmap)):
         expected = _reference_output(cfg, *head, values)
         assert _written(path, cfg, *head, values) == expected
 

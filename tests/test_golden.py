@@ -60,10 +60,10 @@ DIGESTS = {
         "out.json": "924dd9336ccb9686446df9a8e4281463fcbf501e92287398dc2443b4d574cabb",
     },
     ("validate", "csv"): {
-        "out.csv": "4a5f6478255cd95ad592bab5f8955ed20c7f8c60c6f1060d8c97ed658b278cce",
+        "out.csv": "e36c7b93c8b340439ae1003a15c1650274a058a4b72cbaddca5d804674303f2f",
     },
     ("validate", "json"): {
-        "out.json": "4a2e1bd819331dccba8fe81a43f35e44b61bd4742b598819f4f7ff44aa99d603",
+        "out.json": "63348c656f8ee7d260e87e32d2d765ef80d980fb3258c5f8593579f51a4c1fa5",
     },
 }
 

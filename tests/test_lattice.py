@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from singletgas.lattice import (
-    CorrelationMap,
-    StructureFactor,
     first_order_correlation,
     momentum_occupations,
     qfi_staggered,
@@ -64,29 +62,29 @@ def test_odd_size_rejected():
 
 def test_onsite_correlation_at_half_filling():
     cmap = spin_correlation_map(32)
-    assert cmap.values[0, 0] == pytest.approx(0.125, abs=1e-6)
+    assert cmap[0, 0] == pytest.approx(0.125, abs=1e-6)
 
 
 def test_offsite_correlations_negative():
     cmap = spin_correlation_map(32)
-    offsite = cmap.values.copy()
+    offsite = cmap.copy()
     offsite[0, 0] = -1.0
     assert np.all(offsite <= 0.0)
 
 
 def test_nearest_neighbor_spin_correlation():
     cmap = spin_correlation_map(128)
-    assert cmap.values[1, 0] == pytest.approx(-0.5 * TWO_OVER_PI_SQ**2, abs=1e-4)
+    assert cmap[1, 0] == pytest.approx(-0.5 * TWO_OVER_PI_SQ**2, abs=1e-4)
 
 
 def test_point_group_symmetry():
-    values = spin_correlation_map(16).values
+    values = spin_correlation_map(16)
     assert np.allclose(values, np.roll(values[::-1, ::-1], (1, 1), axis=(0, 1)))
     assert np.allclose(values, values.T)
 
 
 def test_hot_gas_correlations_decay():
-    values = spin_correlation_map(32, temperature=4.0).values
+    values = spin_correlation_map(32, temperature=4.0)
     r = np.minimum(np.arange(32), 32 - np.arange(32))
     rx, ry = np.meshgrid(r, r, indexing="ij")
     far = np.hypot(rx, ry) > 3.0
@@ -114,25 +112,25 @@ def test_structure_factor_two_routes_agree(size):
         k = 2.0 * np.pi * np.array([mx, my]) / size
         phases = np.array([np.exp(1j * (k[0] * x + k[1] * y)) for x, y in sites])
         double_sum = np.real(phases.conj() @ corr @ phases) / size**2
-        assert sf.values[mx, my] == pytest.approx(double_sum, abs=1e-10)
+        assert sf[mx, my] == pytest.approx(double_sum, abs=1e-10)
 
 
 def test_structure_factor_nonnegative_and_parseval():
     cmap = spin_correlation_map(32)
     sf = structure_factor(cmap)
-    assert np.all(sf.values >= 0.0)
-    assert sf.values.mean() == pytest.approx(cmap.values[0, 0], abs=1e-10)
+    assert np.all(sf >= 0.0)
+    assert sf.mean() == pytest.approx(cmap[0, 0], abs=1e-10)
 
 
 @pytest.mark.parametrize("size", [8, 16, 32, 64])
 def test_uniform_structure_factor_vanishes_with_size(size):
     sf = structure_factor(spin_correlation_map(size))
-    assert sf.values[0, 0] <= 2.0 / size
+    assert sf[0, 0] <= 2.0 / size
 
 
 def test_finite_size_scaling_monotone():
     s00 = [
-        structure_factor(spin_correlation_map(size)).values[0, 0]
+        structure_factor(spin_correlation_map(size))[0, 0]
         for size in (8, 16, 32, 64)
     ]
     assert all(b < a for a, b in zip(s00, s00[1:]))
@@ -140,15 +138,15 @@ def test_finite_size_scaling_monotone():
 
 def test_maximum_at_pi_pi_below_quarter():
     sf = structure_factor(spin_correlation_map(32))
-    L = sf.size
-    assert np.unravel_index(np.argmax(sf.values), sf.values.shape) == (L // 2, L // 2)
-    assert sf.values[L // 2, L // 2] < 0.25
+    L = sf.shape[0]
+    assert np.unravel_index(np.argmax(sf), sf.shape) == (L // 2, L // 2)
+    assert sf[L // 2, L // 2] < 0.25
 
 
 def test_qfi_ground_state_not_witnessed():
     sf = structure_factor(spin_correlation_map(64))
     result = qfi_staggered(sf)
-    assert result.density == pytest.approx(4.0 * sf.values[32, 32])
+    assert result.density == pytest.approx(4.0 * sf[32, 32])
     assert result.density < 1.0
     assert not result.witnessed
 
@@ -157,15 +155,10 @@ def test_qfi_synthetic_cases():
     L = 4
     values = np.zeros((L, L))
     values[L // 2, L // 2] = 0.3
-    strong = qfi_staggered(StructureFactor(L, values))
+    strong = qfi_staggered(values)
     assert strong.density == pytest.approx(1.2)
     assert strong.witnessed
     # uncorrelated localized spins: S(k) = 1/4 flat -> density exactly 1
-    flat = qfi_staggered(StructureFactor(L, np.full((L, L), 0.25)))
+    flat = qfi_staggered(np.full((L, L), 0.25))
     assert flat.density == pytest.approx(1.0)
     assert not flat.witnessed
-
-
-def test_map_shape_validation():
-    with pytest.raises(ValueError):
-        CorrelationMap(4, np.zeros((3, 3)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singletgas import occupancy
+from singletgas import occupancy, spinmoments
 from singletgas.occupancy import (
     EXP_GUARD,
     P_TOLERANCE,
@@ -19,7 +19,7 @@ from singletgas.occupancy import (
     build_occupation_table,
     occupation,
     solve_field_for_polarization,
-    total_number,
+    spin_sums,
 )
 from singletgas.spectra import FreeSpaceContinuum, FreeSpaceGrid, HarmonicTrap
 
@@ -65,7 +65,7 @@ def test_bose_continuum_number_matches_polylog(z, expected):
     #      = Gamma(3/2) T^{3/2} Li_{3/2}(z), with the DOS prefactor set to 1
     params = GasParameters.bose(temperature=1.0, fugacity=z)
     table = build_occupation_table(FreeSpaceContinuum(), params)
-    assert total_number(table).up == pytest.approx(expected, rel=0.01)
+    assert spin_sums(table, params.eta).up == pytest.approx(expected, rel=0.01)
 
 
 def test_saturation_guards():
@@ -156,16 +156,16 @@ def test_sharp_trap_step():
     params = GasParameters.fermi(temperature=0.01, mu=2.0)
     table = build_occupation_table(HarmonicTrap(level_spacing=1.0), params)
     assert len(table.energies) == 5  # shells up to 2 mu / spacing
-    assert table.n_up[0] == pytest.approx(1.0, abs=1e-12)
-    assert table.n_up[1] < 1e-20
-    assert np.array_equal(table.n_up, table.n_down)
+    assert table.n[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert table.n[0, 1] < 1e-20
+    assert np.array_equal(table.n[0], table.n[1])
 
 
 def test_balanced_columns_equal_without_field():
     params = GasParameters.fermi(temperature=0.4, mu=1.0)
     table = build_occupation_table(FreeSpaceGrid(half_width=8), params)
-    assert np.array_equal(table.n_up, table.n_down)
-    assert total_number(table).polarization == 0.0
+    assert np.array_equal(table.n[0], table.n[1])
+    assert spin_sums(table, params.eta).polarization == 0.0
 
 
 def test_sommerfeld_number_ratio():
@@ -173,7 +173,7 @@ def test_sommerfeld_number_ratio():
     # number is 2 * (2/3) mu^(3/2) for the unit-normalized sqrt(e) DOS
     params = GasParameters.fermi(temperature=0.2, mu=1.0)
     table = build_occupation_table(FreeSpaceContinuum(), params)
-    ratio = total_number(table).total / (4.0 / 3.0)
+    ratio = spin_sums(table, params.eta).total / (4.0 / 3.0)
     assert ratio > 1.0
     assert ratio == pytest.approx(1.0 + np.pi**2 / 8 * 0.04, abs=5e-3)
 
@@ -181,23 +181,47 @@ def test_sommerfeld_number_ratio():
 def test_trap_particle_number_matches_low_t_scale():
     params = GasParameters.fermi(temperature=0.02, mu=1.0)
     table = build_occupation_table(HarmonicTrap(level_spacing=1 / 30), params)
-    assert 0.9e4 <= total_number(table).total <= 2e4
+    assert 0.9e4 <= spin_sums(table, params.eta).total <= 2e4
 
 
 def test_total_number_rejects_empty_gas():
-    energies = np.array([1.0, 2.0])
-    zeros = np.zeros(2)
-    table = OccupationTable(energies, np.ones(2), zeros, zeros)
+    table = OccupationTable(np.array([1.0, 2.0]), np.ones(2), np.zeros((2, 2)))
     with pytest.raises(DegenerateInputError):
-        total_number(table)
+        spin_sums(table, -1.0)
+
+
+@pytest.mark.parametrize("eta", [-1.0, 1.0])
+def test_spin_sums_match_level_by_level_sums(eta):
+    weights = [1.0, 3.0, 6.0]
+    up, down = [0.9, 0.4, 0.05], [0.7, 0.2, 0.01]
+    table = OccupationTable(np.arange(3.0), np.array(weights), np.array([up, down]))
+    sums = spin_sums(table, eta)
+    n_up = math.fsum(w * n for w, n in zip(weights, up))
+    n_down = math.fsum(w * n for w, n in zip(weights, down))
+    assert sums.up == pytest.approx(n_up, rel=1e-15)
+    assert sums.down == pytest.approx(n_down, rel=1e-15)
+    assert sums.total == pytest.approx(n_up + n_down, rel=1e-15)
+    assert sums.polarization == pytest.approx((n_up - n_down) / (n_up + n_down), rel=1e-14)
+    for fluct, ns in ((sums.fluct_up, up), (sums.fluct_down, down)):
+        expected = math.fsum(w * n * (1.0 + eta * n) for w, n in zip(weights, ns))
+        assert fluct == pytest.approx(expected, rel=1e-15)
+    exchange = eta * math.fsum(w * u * d for w, u, d in zip(weights, up, down))
+    assert sums.exchange == pytest.approx(exchange, rel=1e-15)
+
+
+def test_spin_sums_reject_bad_statistics_sign():
+    table = OccupationTable(np.zeros(1), np.ones(1), np.full((2, 1), 0.5))
+    for eta in (0.0, 2.0, -0.5):
+        with pytest.raises(ValueError):
+            spin_sums(table, eta)
 
 
 def test_polarized_limit():
     # field so large the down branch is empty
     params = GasParameters.fermi(temperature=0.05, mu=1.0, field=30.0)
     table = build_occupation_table(HarmonicTrap(level_spacing=1.0), params)
-    assert table.n_down[0] < 1e-100  # lowest down level e + H/2 = 16.5, mu = 1
-    assert total_number(table).polarization == pytest.approx(1.0, abs=1e-10)
+    assert table.n[1, 0] < 1e-100  # lowest down level e + H/2 = 16.5, mu = 1
+    assert spin_sums(table, params.eta).polarization == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -208,7 +232,7 @@ def test_polarized_limit():
 def test_field_reversal_swaps_spins(model):
     def numbers(field):
         params = GasParameters.fermi(temperature=0.02, mu=1.0, field=field)
-        return total_number(build_occupation_table(model, params))
+        return spin_sums(build_occupation_table(model, params), params.eta)
 
     up, down = numbers(2.0), numbers(-2.0)
     assert down.total == pytest.approx(up.total, rel=1e-12)
@@ -229,8 +253,8 @@ def test_polarization_monotone_in_field():
 def test_solve_field_trivial_and_monotone():
     params = GasParameters.fermi(temperature=0.01, mu=1.0)
     model = FreeSpaceContinuum()
-    h_zero, table = solve_field_for_polarization(model, params, 0.0)
-    assert h_zero == 0.0 and total_number(table).polarization == 0.0
+    h_zero, sums = solve_field_for_polarization(model, params, 0.0)
+    assert h_zero == 0.0 and sums.polarization == 0.0
     h_half, _ = solve_field_for_polarization(model, params, 0.5)
     h_high, _ = solve_field_for_polarization(model, params, 0.999)
     assert h_high > h_half > 0.0
@@ -268,10 +292,10 @@ def test_solve_field_evaluation_count(model, monkeypatch):
         for p in (0.1, 0.5, 0.9):
             params = GasParameters.fermi(temperature=t)
             evals.clear()
-            h, table = solve_field_for_polarization(model, params, p)
+            h, sums = solve_field_for_polarization(model, params, p)
             counts.append(len(evals))
             assert abs(polarization_at(model, params, h).polarization - p) < P_TOLERANCE
-            assert abs(total_number(table).polarization - p) < P_TOLERANCE
+            assert abs(sums.polarization - p) < P_TOLERANCE
     assert np.mean(counts) <= 5.0
 
 
@@ -349,9 +373,9 @@ def test_solve_field_warm_start_at_root_takes_one_evaluation(monkeypatch):
         return polarization_at(*args)
 
     monkeypatch.setattr(occupancy, "polarization_at", counted)
-    h, table = solve_field_for_polarization(model, params, 0.5, start=h_root)
+    h, sums = solve_field_for_polarization(model, params, 0.5, start=h_root)
     assert fields == [h_root] and h == h_root
-    assert abs(total_number(table).polarization - 0.5) < P_TOLERANCE
+    assert abs(sums.polarization - 0.5) < P_TOLERANCE
 
 
 @pytest.mark.parametrize("start", [None, math.nan, 0.0, -0.3, math.inf])
@@ -367,8 +391,8 @@ def test_solve_field_degenerate_trap_converges():
     # mu = 1 = 30 spacings sits halfway between two shells, so at T = 5e-4
     # the slope at 2T artanh(P*) is ~exp(-33); the search must still find H
     params = GasParameters.fermi(temperature=5e-4)
-    h, table = solve_field_for_polarization(HarmonicTrap(), params, 0.5)
-    assert abs(total_number(table).polarization - 0.5) < P_TOLERANCE
+    h, sums = solve_field_for_polarization(HarmonicTrap(), params, 0.5)
+    assert abs(sums.polarization - 0.5) < P_TOLERANCE
     assert 0.0 < h < 1.0
 
 
@@ -390,7 +414,7 @@ def test_bracketed_root_exact_secant_step():
         evals.append(x)
         return x - 1.0
 
-    assert occupancy._bracketed_root(f, 0.0, 2.0, -1.0, 1.0) == 1.0
+    assert spinmoments._bracketed_root(f, 0.0, 2.0, -1.0, 1.0) == 1.0
     assert evals == [1.0]
 
 
@@ -399,7 +423,7 @@ def step_at_0_3(x):
 
 
 def test_bracketed_root_step_converges_to_jump():
-    x = occupancy._bracketed_root(step_at_0_3, 0.0, 1.0, -1.0, 1.0, xtol=1e-9)
+    x = spinmoments._bracketed_root(step_at_0_3, 0.0, 1.0, -1.0, 1.0, xtol=1e-9)
     assert abs(x - 0.3) < 1e-9
 
 
@@ -407,7 +431,7 @@ def test_bracketed_root_step_never_meets_ftol():
     # |f| = 1 everywhere, so f never reaches 0; with xtol = 0 nothing stops
     # the search before MAX_ITERATIONS
     with pytest.raises(NoConvergence):
-        occupancy._bracketed_root(step_at_0_3, 0.0, 1.0, -1.0, 1.0, xtol=0.0)
+        spinmoments._bracketed_root(step_at_0_3, 0.0, 1.0, -1.0, 1.0, xtol=0.0)
 
 
 def test_solve_field_rejects_bose_and_bad_target():
@@ -423,7 +447,7 @@ def test_build_table_is_deterministic():
     params = GasParameters.bose(temperature=0.7, fugacity=0.6, field=0.1)
     a = build_occupation_table(FreeSpaceGrid(half_width=6), params)
     b = build_occupation_table(FreeSpaceGrid(half_width=6), params)
-    assert np.array_equal(a.n_up, b.n_up) and np.array_equal(a.n_down, b.n_down)
+    assert np.array_equal(a.n, b.n)
 
 
 @settings(max_examples=50)
@@ -435,5 +459,5 @@ def test_bose_occupations_positive_and_finite(z, t):
     h = 0.5 * t * math.log(1.0 / z)  # safely inside the fugacity guard
     params = GasParameters.bose(temperature=t, fugacity=z, field=h)
     table = build_occupation_table(HarmonicTrap(level_spacing=1 / 10), params)
-    for col in (table.n_up, table.n_down):
+    for col in table.n:
         assert np.all(col > 0.0) and np.all(np.isfinite(col))

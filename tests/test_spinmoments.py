@@ -9,6 +9,7 @@ from singletgas.occupancy import (
     GasParameters,
     OccupationTable,
     build_occupation_table,
+    spin_sums,
 )
 from singletgas.spectra import FreeSpaceContinuum, FreeSpaceGrid, HarmonicTrap
 from singletgas.spinmoments import (
@@ -25,15 +26,18 @@ from singletgas.spinmoments import (
 
 
 def table_of(n_up, n_down, weights=None):
-    n_up = np.asarray(n_up, dtype=float)
-    n_down = np.asarray(n_down, dtype=float)
+    n = np.array((n_up, n_down), dtype=float)
     if weights is None:
-        weights = np.ones_like(n_up)
-    return OccupationTable(np.arange(len(n_up), dtype=float), weights, n_up, n_down)
+        weights = np.ones(n.shape[1])
+    return OccupationTable(np.arange(n.shape[1], dtype=float), weights, n)
+
+
+def moments_of(table, eta):
+    return collective_variances(spin_sums(table, eta))
 
 
 def test_single_fermi_level_half_filled():
-    moments = collective_variances(table_of([0.5], [0.5]), eta=-1)
+    moments = moments_of(table_of([0.5], [0.5]), eta=-1)
     assert moments.mean_n == pytest.approx(1.0)
     assert moments.var_jz == pytest.approx(0.125)
     assert moments.var_jx == pytest.approx(0.125)
@@ -41,15 +45,15 @@ def test_single_fermi_level_half_filled():
 
 
 def test_single_bose_level_unit_filled():
-    moments = collective_variances(table_of([1.0], [1.0]), eta=+1)
+    moments = moments_of(table_of([1.0], [1.0]), eta=+1)
     assert moments.mean_n == pytest.approx(2.0)
     assert moments.var_jz == pytest.approx(1.0)
     assert moments.var_jx == pytest.approx(1.0)
 
 
 def test_degeneracy_weights_multiply_contributions():
-    weighted = collective_variances(table_of([0.3], [0.2], weights=[5.0]), eta=-1)
-    repeated = collective_variances(
+    weighted = moments_of(table_of([0.3], [0.2], weights=[5.0]), eta=-1)
+    repeated = moments_of(
         table_of([0.3] * 5, [0.2] * 5), eta=-1
     )
     assert weighted.mean_n == pytest.approx(repeated.mean_n)
@@ -58,14 +62,14 @@ def test_degeneracy_weights_multiply_contributions():
 
 
 def test_filled_sea_is_total_singlet():
-    moments = collective_variances(table_of([1.0] * 8, [1.0] * 8), eta=-1)
+    moments = moments_of(table_of([1.0] * 8, [1.0] * 8), eta=-1)
     assert moments.var_jx == pytest.approx(0.0, abs=1e-14)
     assert moments.var_jy == pytest.approx(0.0, abs=1e-14)
     assert moments.var_jz == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mean_jz_and_polarization():
-    moments = collective_variances(table_of([1.0, 1.0], [1.0, 0.0]), eta=-1)
+    moments = moments_of(table_of([1.0, 1.0], [1.0, 0.0]), eta=-1)
     assert moments.mean_jz == pytest.approx(0.5)
     assert moments.polarization == pytest.approx(1.0 / 3.0)
 
@@ -98,7 +102,7 @@ def test_witness_requires_enough_particles():
 def test_witness_flags_and_xi_identity():
     params = GasParameters.fermi(temperature=0.3, mu=1.0)
     table = build_occupation_table(FreeSpaceGrid(half_width=8), params)
-    moments = collective_variances(table, eta=-1)
+    moments = moments_of(table, eta=-1)
     report = witness_report(moments)
     assert report.inequality_sum.approximation == "exact"
     assert report.inequality_single.approximation == "mean-N"
@@ -111,7 +115,7 @@ def test_witness_flags_and_xi_identity():
 def test_bose_table_satisfies_all_inequalities():
     params = GasParameters.bose(temperature=1.0, fugacity=0.8, field=0.1)
     table = build_occupation_table(FreeSpaceGrid(half_width=8), params)
-    moments = collective_variances(table, eta=+1)
+    moments = moments_of(table, eta=+1)
     report = witness_report(moments)
     assert all(check.satisfied for check in report.checks)
     for var in (moments.var_jx, moments.var_jy, moments.var_jz):
@@ -128,7 +132,7 @@ def test_bose_never_witnessed_property(z, t, h_frac):
     h = h_frac * 2.0 * t * math.log(1.0 / z)
     params = GasParameters.bose(temperature=t, fugacity=z, field=h)
     table = build_occupation_table(HarmonicTrap(level_spacing=1 / 20), params)
-    moments = collective_variances(table, eta=+1)
+    moments = moments_of(table, eta=+1)
     if moments.mean_n > 6.0:
         report = witness_report(moments)
         assert all(check.satisfied for check in report.checks)
@@ -141,7 +145,7 @@ def test_bose_never_witnessed_property(z, t, h_frac):
 def test_fermi_variances_bounded_property(t, h):
     params = GasParameters.fermi(temperature=t, mu=1.0, field=h)
     table = build_occupation_table(FreeSpaceContinuum(), params)
-    moments = collective_variances(table, eta=-1)
+    moments = moments_of(table, eta=-1)
     bound = moments.mean_n / 4.0 + 1e-12
     assert moments.var_jx <= bound and moments.var_jz <= bound
     assert min(moments.var_jx, moments.var_jz) >= 0.0
@@ -176,28 +180,34 @@ def test_sweep_rejects_empty_grid():
     ids=["continuum", "grid", "trap"],
 )
 def test_moments_at_builds_one_table_per_p_evaluation(model, monkeypatch):
-    # the field solve's last table is the one the moments come from: no
-    # rebuild after the solve, and one table at H = 0 when P* = 0
+    # the field solve's last table is the one the moments come from: one
+    # table and one reduction per P evaluation, no rebuild or second
+    # reduction after the solve (only the formula), and one table at H = 0
+    # when P* = 0
     calls = []
 
-    def counting(name):
-        real = getattr(occupancy, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def counted(*args):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(occupancy, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    counting("polarization_at")
-    counting("build_occupation_table")
+    counting(occupancy, "polarization_at")
+    counting(occupancy, "build_occupation_table")
+    counting(occupancy, "spin_sums")
+    counting(spinmoments, "collective_variances")
     field, moments = moments_at(model, 0.3, 0.0)
-    assert (field, calls) == (0.0, ["build_occupation_table"])
+    assert field == 0.0
+    assert calls == ["build_occupation_table", "spin_sums", "collective_variances"]
     for p in (0.2, 0.6):
         calls.clear()
         field, moments = moments_at(model, 0.3, p)
         evals = calls.count("polarization_at")
-        assert evals > 0 and calls == ["polarization_at", "build_occupation_table"] * evals
+        per_eval = ["polarization_at", "build_occupation_table", "spin_sums"]
+        assert evals > 0 and calls == per_eval * evals + ["collective_variances"]
         assert moments.polarization == pytest.approx(p, abs=occupancy.P_TOLERANCE)
 
 
@@ -242,7 +252,7 @@ def test_fluctuation_dissipation_gas_models(model, spin_stats, t, h):
             params = GasParameters.fermi(t, mu=1.0, field=field)
         else:
             params = GasParameters.bose(t, fugacity=0.5, field=field)
-        return collective_variances(build_occupation_table(model, params), params.eta)
+        return moments_of(build_occupation_table(model, params), params.eta)
 
     step = 1e-5
     slope = (moments(h + step).mean_jz - moments(h - step).mean_jz) / (2.0 * step)
