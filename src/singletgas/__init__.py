@@ -26,8 +26,8 @@ from .spectra import (
     lattice_dispersion,
 )
 from .spinmoments import (
+    Inequalities,
     SpinMoments,
-    WitnessReport,
     collective_variances,
     find_threshold,
     singlet_fraction_sweep,
@@ -41,10 +41,10 @@ __all__ = [
     "FreeSpaceGrid",
     "GasParameters",
     "HarmonicTrap",
+    "Inequalities",
     "OccupationTable",
     "QfiResult",
     "SpinMoments",
-    "WitnessReport",
     "build_occupation_table",
     "collective_variances",
     "enumerate_levels",

@@ -96,12 +96,9 @@ def parse_config_text(text):
     text = text.strip()
     if text.startswith("{"):
         try:
-            data = json.loads(text)
+            return json.loads(text)
         except json.JSONDecodeError as err:
             raise ConfigError(f"bad JSON config: {err}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("JSON config must be an object")
-        return data
     data = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()

@@ -138,12 +138,7 @@ def build_occupation_table(model, params):
         model, params.temperature, mu=probe_mu, field=params.field
     )
     params = params.resolved(spectra.band_bottom(model))
-    try:
-        n = occupation(energies, params, SPINS)
-    except DomainError as err:
-        bad = int(np.argmin(energies))
-        raise DomainError(f"{err} (first offending level index {bad})") from None
-    return OccupationTable(energies, weights, n)
+    return OccupationTable(energies, weights, occupation(energies, params, SPINS))
 
 
 class SpinSums(NamedTuple):

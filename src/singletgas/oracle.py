@@ -29,7 +29,7 @@ import numpy as np
 
 from . import occupancy, spinmoments
 from .occupancy import DegenerateInputError, DomainError, NoConvergence, OccupationTable
-from .spinmoments import InequalityCheck, SpinMoments, tightest_permutations
+from .spinmoments import Inequalities, SpinMoments, tightest_permutations
 
 MAX_FERMI_MODES = 6
 MAX_BOSE_MODES = 4
@@ -82,14 +82,8 @@ class ExactReport:
     moments: SpinMoments
     sector_moments: SpinMoments
     weight_n_le_1: float
-    inequality_sum: InequalityCheck
-    inequality_single: InequalityCheck
-    inequality_pair: InequalityCheck
+    checks: Inequalities
     n_cut: int
-
-    @property
-    def checks(self):
-        return (self.inequality_sum, self.inequality_single, self.inequality_pair)
 
 
 def _occupation_cutoff(ens):
@@ -143,16 +137,12 @@ def _moments(w, n, jz, jz2, jx2):
     """Moments from the weight ``w`` of each N in ``n`` and the weighted
     sums ``jz``, ``jz2``, ``jx2`` of Jz, Jz^2 and (Jx)^2 at that N."""
     z = w.sum()
-    mean_n = float((w * n).sum() / z)
     mean_jz = float(jz.sum() / z)
-    var_jx = float(jx2.sum() / z)  # <(Jx)^2>, and <Jx> = 0 identically
     return SpinMoments(
-        mean_n=mean_n,
+        mean_n=float((w * n).sum() / z),
         mean_jz=mean_jz,
-        var_jx=var_jx,
-        var_jy=var_jx,
+        var_jx=float(jx2.sum() / z),  # <(Jx)^2>, and <Jx> = 0 identically
         var_jz=float(jz2.sum() / z) - mean_jz**2,
-        polarization=2.0 * mean_jz / mean_n if mean_n > 0 else 0.0,
     )
 
 
@@ -184,13 +174,15 @@ def _exact_report(ens, cut):
 
     checks = tightest_permutations(
         sector.mean_n,
-        {"x": sector.var_jx, "y": sector.var_jy, "z": sector.var_jz},
-        {"x": jx2_over, "y": jx2_over, "z": jz2_over},
+        sector.var_jx,
+        sector.var_jz,
+        jx2_over,
+        jz2_over,
         n_over,
         nn2_over,
         "exact",
     )
-    return ExactReport(moments, sector, float(1.0 - z2 / w.sum()), *checks, n_cut=cut)
+    return ExactReport(moments, sector, float(1.0 - z2 / w.sum()), checks, cut)
 
 
 def exact_moments(ens):

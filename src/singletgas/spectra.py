@@ -21,6 +21,9 @@ import numpy as np
 # adaptive cutoffs
 OCC_LOG_GUARD = math.log(1e12)
 
+# grid energy per unit of n^2 = nx^2 + ny^2 + nz^2, in units of mu
+GRID_ENERGY_UNIT = 1.0 / 30.0
+
 
 @cache
 def _gauss_rule():
@@ -39,19 +42,18 @@ def _gauss_rule():
 
 @dataclass(frozen=True)
 class FreeSpaceGrid:
-    """Periodic-boundary momentum grid, energies e = eu * (nx^2+ny^2+nz^2).
+    """Periodic-boundary momentum grid, e = GRID_ENERGY_UNIT * (nx^2+ny^2+nz^2).
 
     half_width w gives 2w points per axis, n in {-w, ..., w-1}; only n^2
     enters, so the asymmetry is irrelevant.
     """
 
     half_width: int = 15
-    energy_unit: float = 1.0 / 30.0
 
 
 @dataclass(frozen=True)
 class FreeSpaceContinuum:
-    """sqrt(e) density of states, integrated on Gauss-Legendre panels.
+    """sqrt(e) density of states on Gauss-Legendre panels in u = sqrt(e).
 
     The window [0, mu + |H|/2 + 40 T] and the panel boundaries (at both
     spin Fermi edges mu -+ H/2 and 20 T either side, which keeps the
@@ -105,13 +107,11 @@ def _grid_levels(model):
     w = model.half_width
     if w <= 0:
         raise ValueError(f"grid half-width must be positive, got {w}")
-    if model.energy_unit <= 0:
-        raise ValueError(f"energy unit must be positive, got {model.energy_unit}")
     # states per n^2 on one axis, convolved over three: states per shell s
     axis = np.bincount(np.arange(-w, w) ** 2)
     counts = np.convolve(np.convolve(axis, axis), axis)
     shells = np.flatnonzero(counts)
-    return model.energy_unit * shells, counts[shells].astype(float)
+    return GRID_ENERGY_UNIT * shells, counts[shells].astype(float)
 
 
 def _continuum_levels(temperature, mu, field):
@@ -126,11 +126,12 @@ def _continuum_levels(temperature, mu, field):
     }
     bounds = np.array(sorted({0.0, cut, *(p for p in edges if 0.0 < p < cut)}))
     x, w = _gauss_rule()
-    # one row per panel [a, b]: half-width and midpoint as (panels, 1) columns
-    a, b = bounds[:-1, None], bounds[1:, None]
+    # one row per panel in u = sqrt(e), where the sqrt(e) de = 2 u^2 du
+    # integrand is smooth: half-width and midpoint as (panels, 1) columns
+    a, b = np.sqrt(bounds[:-1, None]), np.sqrt(bounds[1:, None])
     half = 0.5 * (b - a)
-    energies = half * x + 0.5 * (a + b)
-    return energies.ravel(), (half * w * np.sqrt(energies)).ravel()
+    u = half * x + 0.5 * (a + b)
+    return (u * u).ravel(), (2.0 * half * w * u * u).ravel()
 
 
 def _trap_levels(model, temperature, mu, field):

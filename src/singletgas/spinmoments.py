@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import occupancy
 from .occupancy import GasParameters
@@ -14,14 +15,17 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class SpinMoments:
-    """First and second moments of the collective spin of the ensemble."""
+    """First and second moments of the collective spin of the ensemble.
+
+    Every state built here, the gas in a field along z and each oracle
+    ensemble, is invariant under rotations about z: <Jx> = <Jy> = 0 and
+    Var(Jy) = Var(Jx), so one transverse variance stands for both.
+    """
 
     mean_n: float
     mean_jz: float
     var_jx: float
-    var_jy: float
     var_jz: float
-    polarization: float
 
 
 @dataclass(frozen=True)
@@ -32,27 +36,12 @@ class InequalityCheck:
     approximation: str  # "exact" or "mean-N"
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """The three separability inequalities plus the singlet-formation data.
+class Inequalities(NamedTuple):
+    """Separability inequalities 1-3 (Toth et al., PRL 99, 250405, 2007)."""
 
-    Inequality 1 compares the summed variances to <N>/2 and is exact.
-    Inequalities 2 and 3 involve nonlinear functions of N; here every
-    <f(N) X> is evaluated as f(<N>)<X> and the check carries a "mean-N"
-    flag.  Of the inequivalent axis permutations the one with the smallest
-    margin is reported, so ``satisfied`` means *all* permutations hold.
-    """
-
-    inequality_sum: InequalityCheck
-    inequality_single: InequalityCheck
-    inequality_pair: InequalityCheck
-    xi_squared: float
-    singlet_fraction: float
-    entanglement_witnessed: bool
-
-    @property
-    def checks(self):
-        return (self.inequality_sum, self.inequality_single, self.inequality_pair)
+    sum: InequalityCheck
+    single: InequalityCheck
+    pair: InequalityCheck
 
 
 def collective_variances(sums):
@@ -62,57 +51,59 @@ def collective_variances(sums):
     n_sigma), and Var(Jx) = Var(Jy) = <N>/4 + X/2 with the exchange sum
     X = eta sum_a w_a n_up n_down.
     """
-    var_jxy = sums.total / 4.0 + sums.exchange / 2.0
     return SpinMoments(
         mean_n=sums.total,
         mean_jz=0.5 * (sums.up - sums.down),
-        var_jx=var_jxy,
-        var_jy=var_jxy,
+        var_jx=sums.total / 4.0 + sums.exchange / 2.0,
         var_jz=(sums.fluct_up + sums.fluct_down) / 4.0,
-        polarization=sums.polarization,
     )
 
 
 def xi_squared(moments):
     """Singlet-formation parameter 2 sum_mu Var(J^mu) / <N>."""
-    return (
-        2.0
-        * (moments.var_jx + moments.var_jy + moments.var_jz)
-        / moments.mean_n
-    )
+    return 2.0 * (2.0 * moments.var_jx + moments.var_jz) / moments.mean_n
 
 
-def tightest_permutations(n, variances, second_over, n_over, nn2_over, approximation):
+def tightest_permutations(
+    n, var_x, var_z, second_x, second_z, n_over, nn2_over, approximation
+):
     """Inequalities 1-3, with 2 and 3 at their axis permutation of smallest margin.
 
-    ``n`` is <N>; ``variances`` and ``second_over`` map the axes "x", "y", "z"
-    to Var(J^a) and <(J^a)^2 / (N - 1)>; ``n_over`` is <N / (N - 1)> / 2 and
-    ``nn2_over`` is <N (N - 2) / (N - 1)> / 4.  Inequality 1 reads
-    sum_a Var(J^a) >= n / 2; it is linear in the moments, so always "exact".
-    Inequality 2 reads Var(J^a) >= second_over[b] + second_over[c] - n_over,
-    inequality 3 Var(J^a) + Var(J^b) >= second_over[c] + nn2_over; both carry
-    ``approximation``.
+    ``n`` is <N>; ``var_x`` and ``var_z`` are Var(Jx) = Var(Jy) and Var(Jz);
+    ``second_x`` and ``second_z`` are <(J^a)^2 / (N - 1)> for a = x (= y)
+    and z; ``n_over`` is <N / (N - 1)> / 2 and ``nn2_over`` is
+    <N (N - 2) / (N - 1)> / 4.  Inequality 1 reads sum_a Var(J^a) >= n / 2;
+    it is linear in the moments, so always "exact".  Inequality 2 reads
+    Var(J^a) >= second[b] + second[c] - n_over, inequality 3
+    Var(J^a) + Var(J^b) >= second[c] + nn2_over; both carry
+    ``approximation``.  With x and y alike, two of the three permutations
+    of each coincide, so two candidates remain.
     """
-    total = sum(variances.values())
+    total = 2.0 * var_x + var_z
     ineq_sum = InequalityCheck(total, n / 2.0, total >= n / 2.0, "exact")
 
-    def tightest(sides):
+    def tightest(*sides):
         lhs, rhs = min(sides, key=lambda lr: lr[0] - lr[1])
         return InequalityCheck(lhs, rhs, lhs >= rhs, approximation)
 
     single = tightest(
-        (variances[a], second_over[b] + second_over[c] - n_over)
-        for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
+        (var_x, second_x + second_z - n_over), (var_z, 2.0 * second_x - n_over)
     )
     pair = tightest(
-        (variances[a] + variances[b], second_over[c] + nn2_over)
-        for a, b, c in (("x", "y", "z"), ("x", "z", "y"), ("y", "z", "x"))
+        (2.0 * var_x, second_z + nn2_over), (var_x + var_z, second_x + nn2_over)
     )
-    return ineq_sum, single, pair
+    return Inequalities(ineq_sum, single, pair)
 
 
 def witness_report(moments):
     """Evaluate the three separability inequalities for one set of moments.
+
+    Inequality 1 compares the summed variances to <N>/2 and is exact; it
+    holds iff xi^2 >= 1.  Inequalities 2 and 3 involve nonlinear functions
+    of N; here every <f(N) X> is evaluated as f(<N>)<X> and the check
+    carries a "mean-N" flag.  Of the inequivalent axis permutations the one
+    with the smallest margin is reported, so ``satisfied`` means *all*
+    permutations hold.
 
     Requires <N> > 2: the fluctuating-N criteria assume no weight on the
     empty and single-particle sectors, and the mean-N evaluation of the
@@ -121,30 +112,16 @@ def witness_report(moments):
     n = moments.mean_n
     if n <= 2.0:
         raise ValueError(f"witness evaluation needs <N> > 2, got {n}")
-    variances = {"x": moments.var_jx, "y": moments.var_jy, "z": moments.var_jz}
-    # polarization only along z, so <Jx> = <Jy> = 0
-    second = {
-        "x": moments.var_jx,
-        "y": moments.var_jy,
-        "z": moments.var_jz + moments.mean_jz**2,
-    }
     denom = n - 1.0
-    ineq_sum, single, pair = tightest_permutations(
+    return tightest_permutations(
         n,
-        variances,
-        {axis: value / denom for axis, value in second.items()},
+        moments.var_jx,
+        moments.var_jz,
+        moments.var_jx / denom,  # <Jx> = 0
+        (moments.var_jz + moments.mean_jz**2) / denom,
         n / (2.0 * denom),
         n * (n - 2.0) / (4.0 * denom),
         "mean-N",
-    )
-    xi2 = xi_squared(moments)
-    return WitnessReport(
-        inequality_sum=ineq_sum,
-        inequality_single=single,
-        inequality_pair=pair,
-        xi_squared=xi2,
-        singlet_fraction=1.0 - xi2,
-        entanglement_witnessed=xi2 < 1.0,
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singletgas import cli, lattice
+from singletgas import cli, lattice, occupancy
 from singletgas.cli import ConfigError, build_config, main, parse_config_text
 
 
@@ -62,6 +62,10 @@ def test_parse_json_config():
         '{"workflow": "validate", "seed": 1e999}',
         '{"workflow": "threshold", "p_target": false}',
         '{"workflow": "freespace", "t_grid": [0.5, true]}',
+        "workflow = freespace\nformat = xml",
+        "workflow = freespace\nspectrum = moon",
+        "workflow = freespace\nt_grid = ,",
+        '{"workflow": ',
     ],
 )
 def test_bad_configs_rejected(text):
@@ -207,6 +211,29 @@ def test_exit_codes(tmp_path):
         f"workflow = threshold\nt_bracket = 0.02, 0.05\nout = {out}\n",
     )
     assert status == cli.EXIT_DOMAIN
+
+
+def test_validate_exit_status_counts_failed_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ORACLE_RTOL", 0.0)
+    out = tmp_path / "v.csv"
+    job = f"workflow = validate\nsamples_fermi = 2\nsamples_bose = 1\nout = {out}\n"
+    assert run_cli(tmp_path, job) == 1
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(lines) == 4 and all(line.endswith(",0") for line in lines[1:])
+
+
+def test_unconverged_search_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(occupancy, "MAX_ITERATIONS", 1)
+    out = tmp_path / "thr.csv"
+    job = f"workflow = threshold\nout = {out}\n"
+    assert run_cli(tmp_path, job) == cli.EXIT_CONVERGENCE
+    assert not out.exists()
+
+
+def test_output_in_missing_directory_exit_code(tmp_path):
+    out = tmp_path / "missing" / "maps.csv"
+    job = f"workflow = lattice\nlattice_size = 4\nout = {out}\n"
+    assert run_cli(tmp_path, job) == cli.EXIT_IO
 
 
 def test_non_finite_output_refused(tmp_path, monkeypatch):

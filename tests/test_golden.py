@@ -28,10 +28,10 @@ JOBS = {
 
 DIGESTS = {
     ("continuum", "csv"): {
-        "out.csv": "9b44f295464b7adbe54d3269b6ab56ac84b4c8bcca1d8171fd578952a847c2a9",
+        "out.csv": "5180a00bfba52d9ee96548dacdec38940d7c5f56f8931387da1d08a95ca57bf7",
     },
     ("continuum", "json"): {
-        "out.json": "f99c4b4ced848783bb4f3332f5d3597445073456bcbf5426b449c4e86ad11c68",
+        "out.json": "690a51f1e190695928f0c73e81990018cf72806d9f4bd6becdfa44d41754305f",
     },
     ("grid", "csv"): {
         "out.csv": "654960cde10f2a3bac7c22b84197c1468aa20a4970a194f485278f46870e3a6d",
@@ -48,10 +48,10 @@ DIGESTS = {
         "out_structure_factor.json": "49b038f2d2f1dae62148381589e24811775983d0fdef4270433ac6cd5e3f879b",
     },
     ("threshold", "csv"): {
-        "out.csv": "c9a1e83e98f17b6db9e60bb4d589ff2e2c974c21a53f401e07fbfef6aa4f6997",
+        "out.csv": "e7eaa34e8660d4838686a9ab1061647433ba0bdbbba373aa9b8fc22235fee9f2",
     },
     ("threshold", "json"): {
-        "out.json": "1ba4691a04731d6d40ebe08c54e952d45f211b71e09f9190b2f4c3d21df8313d",
+        "out.json": "fb55a23a1b81733ac63e55d26724e4ee56308f1b5ec646bac085f93f5e967994",
     },
     ("trap", "csv"): {
         "out.csv": "c4bbbfd2ae42c7f3cf3b2815ceebf48395e65f4dfae687a8361f76bdd9d9192c",

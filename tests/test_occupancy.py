@@ -21,7 +21,12 @@ from singletgas.occupancy import (
     solve_field_for_polarization,
     spin_sums,
 )
-from singletgas.spectra import FreeSpaceContinuum, FreeSpaceGrid, HarmonicTrap
+from singletgas.spectra import (
+    FreeSpaceContinuum,
+    FreeSpaceGrid,
+    HarmonicTrap,
+    band_bottom,
+)
 
 
 def test_fermi_midpoint():
@@ -49,6 +54,18 @@ def test_bose_nonpositive_argument_rejected():
         occupation(0.2, params)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [FreeSpaceContinuum(), FreeSpaceGrid(half_width=4), HarmonicTrap()],
+    ids=["continuum", "grid", "trap"],
+)
+def test_bose_explicit_mu_above_band_bottom_rejected(model):
+    # an explicit mu skips the fugacity guard; the occupation kernel rejects it
+    params = GasParameters("bose", temperature=1.0, mu=band_bottom(model) + 0.1)
+    with pytest.raises(DomainError):
+        build_occupation_table(model, params)
+
+
 def test_bose_fugacity_guard():
     params = GasParameters.bose(temperature=1.0, fugacity=0.5, field=2.0)
     with pytest.raises(DomainError):
@@ -65,7 +82,24 @@ def test_bose_continuum_number_matches_polylog(z, expected):
     #      = Gamma(3/2) T^{3/2} Li_{3/2}(z), with the DOS prefactor set to 1
     params = GasParameters.bose(temperature=1.0, fugacity=z)
     table = build_occupation_table(FreeSpaceContinuum(), params)
-    assert spin_sums(table, params.eta).up == pytest.approx(expected, rel=0.01)
+    assert spin_sums(table, params.eta).up == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "t,expected",
+    # Gamma(3/2) T^{3/2} (-Li_{3/2}(-e^{1/T})), from 30-digit mpmath
+    [
+        (0.05, 0.6687273818620263),
+        (0.3, 0.7463117041653576),
+        (1.0, 1.3963752806665641),
+        (2.0, 2.8007346982338297),
+    ],
+)
+def test_fermi_continuum_number_matches_polylog(t, expected):
+    # N_up = int_0^inf sqrt(e) de / (exp((e - mu) / T) + 1) at mu = 1
+    params = GasParameters.fermi(temperature=t, mu=1.0)
+    table = build_occupation_table(FreeSpaceContinuum(), params)
+    assert spin_sums(table, params.eta).up == pytest.approx(expected, rel=1e-10)
 
 
 def test_saturation_guards():

@@ -130,8 +130,8 @@ def test_mean_n_approximation_quality():
             continue
         approx = witness_report(closed_form_moments(ens))
         for pair in (
-            (exact.inequality_single, approx.inequality_single),
-            (exact.inequality_pair, approx.inequality_pair),
+            (exact.checks.single, approx.single),
+            (exact.checks.pair, approx.pair),
         ):
             a, b = (chk.rhs for chk in pair)
             assert abs(a - b) <= 0.10 * max(1.0, abs(a), abs(b))
@@ -239,9 +239,7 @@ def _brute_force_report(ens, cut):
             mean_n=mean_n,
             mean_jz=mean_jz,
             var_jx=var_jx,
-            var_jy=var_jx,
             var_jz=(w * jz**2)[sel].sum() / z - mean_jz**2,
-            polarization=2.0 * mean_jz / mean_n,
         )
 
     sel = n >= 2
@@ -252,8 +250,10 @@ def _brute_force_report(ens, cut):
     jz2_over = (ws * jz[sel] ** 2 / (ns - 1)).sum() / z2
     checks = tightest_permutations(
         sector.mean_n,
-        {"x": sector.var_jx, "y": sector.var_jy, "z": sector.var_jz},
-        {"x": jx2_over, "y": jx2_over, "z": jz2_over},
+        sector.var_jx,
+        sector.var_jz,
+        jx2_over,
+        jz2_over,
         (ws * ns / (ns - 1)).sum() / (2.0 * z2),
         (ws * ns * (ns - 2) / (ns - 1)).sum() / (4.0 * z2),
         "exact",

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from singletgas import spectra
 from singletgas.spectra import (
+    GRID_ENERGY_UNIT,
     FreeSpaceContinuum,
     FreeSpaceGrid,
     HarmonicTrap,
@@ -51,7 +52,7 @@ def test_grid_shells_match_state_cube(w):
     nx, ny, nz = np.meshgrid(n, n, n, indexing="ij")
     shells, counts = np.unique((nx**2 + ny**2 + nz**2).ravel(), return_counts=True)
     energies, weights = enumerate_levels(model, 0.5)
-    assert np.array_equal(energies, model.energy_unit * shells)
+    assert np.array_equal(energies, GRID_ENERGY_UNIT * shells)
     assert np.array_equal(weights, counts)
     assert weights.sum() == (2 * w) ** 3
     assert np.all(np.diff(energies) > 0)
@@ -60,7 +61,7 @@ def test_grid_shells_match_state_cube(w):
 
 
 def test_grid_energy_scale():
-    energies, _ = enumerate_levels(FreeSpaceGrid(half_width=15, energy_unit=1 / 30), 0.5)
+    energies, _ = enumerate_levels(FreeSpaceGrid(half_width=15), 0.5)
     assert energies[0] == 0.0
     # band edge: (-15, -15, -15)
     assert energies[-1] == pytest.approx(3 * 225 / 30)
@@ -132,7 +133,6 @@ def test_deterministic_ordering():
         HarmonicTrap(level_spacing=1.0),
         HarmonicTrap(level_spacing=-0.5),
         FreeSpaceGrid(half_width=0),
-        FreeSpaceGrid(energy_unit=0.0),
         FreeSpaceContinuum(),
     ],
 )

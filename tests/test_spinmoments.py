@@ -41,7 +41,6 @@ def test_single_fermi_level_half_filled():
     assert moments.mean_n == pytest.approx(1.0)
     assert moments.var_jz == pytest.approx(0.125)
     assert moments.var_jx == pytest.approx(0.125)
-    assert moments.var_jy == moments.var_jx
 
 
 def test_single_bose_level_unit_filled():
@@ -64,39 +63,84 @@ def test_degeneracy_weights_multiply_contributions():
 def test_filled_sea_is_total_singlet():
     moments = moments_of(table_of([1.0] * 8, [1.0] * 8), eta=-1)
     assert moments.var_jx == pytest.approx(0.0, abs=1e-14)
-    assert moments.var_jy == pytest.approx(0.0, abs=1e-14)
     assert moments.var_jz == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mean_jz_and_polarization():
     moments = moments_of(table_of([1.0, 1.0], [1.0, 0.0]), eta=-1)
     assert moments.mean_jz == pytest.approx(0.5)
-    assert moments.polarization == pytest.approx(1.0 / 3.0)
+    assert 2.0 * moments.mean_jz / moments.mean_n == pytest.approx(1.0 / 3.0)
 
 
 def test_witness_maximal_violation():
-    moments = SpinMoments(100.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    moments = SpinMoments(100.0, 0.0, 0.0, 0.0)
     report = witness_report(moments)
-    assert report.inequality_sum.lhs == 0.0
-    assert report.inequality_sum.rhs == 50.0
-    assert not report.inequality_sum.satisfied
-    assert report.xi_squared == 0.0
-    assert report.singlet_fraction == 1.0
-    assert report.entanglement_witnessed
+    assert report.sum.lhs == 0.0
+    assert report.sum.rhs == 50.0
+    assert not report.sum.satisfied
+    assert xi_squared(moments) == 0.0
 
 
 def test_witness_boundary_case():
     # sum of variances exactly <N>/2: f_s = 0, nothing witnessed
     v = 100.0 / 6.0
-    report = witness_report(SpinMoments(100.0, 0.0, v, v, v, 0.0))
-    assert report.singlet_fraction == pytest.approx(0.0, abs=1e-12)
-    assert not report.entanglement_witnessed
-    assert report.inequality_sum.satisfied
+    moments = SpinMoments(100.0, 0.0, v, v)
+    report = witness_report(moments)
+    assert 1.0 - xi_squared(moments) == pytest.approx(0.0, abs=1e-12)
+    assert report.sum.satisfied
 
 
 def test_witness_requires_enough_particles():
     with pytest.raises(ValueError):
-        witness_report(SpinMoments(2.0, 0.0, 0.1, 0.1, 0.1, 0.0))
+        witness_report(SpinMoments(2.0, 0.0, 0.1, 0.1))
+
+
+def _three_permutation_checks(
+    n, variances, second_over, n_over, nn2_over, approximation
+):
+    """Reference: inequalities 1-3 over all three axis permutations, with
+    per-axis dicts, for comparison with the two-candidate routine."""
+    total = sum(variances.values())
+    ineq_sum = (total, n / 2.0, total >= n / 2.0, "exact")
+
+    def tightest(sides):
+        lhs, rhs = min(sides, key=lambda lr: lr[0] - lr[1])
+        return (lhs, rhs, lhs >= rhs, approximation)
+
+    single = tightest(
+        (variances[a], second_over[b] + second_over[c] - n_over)
+        for a, b, c in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y"))
+    )
+    pair = tightest(
+        (variances[a] + variances[b], second_over[c] + nn2_over)
+        for a, b, c in (("x", "y", "z"), ("x", "z", "y"), ("y", "z", "x"))
+    )
+    return ineq_sum, single, pair
+
+
+def test_two_candidates_match_three_permutations_bitwise():
+    # with x and y alike, the dropped permutation of each inequality is an
+    # exact duplicate; values drawn from a small pool make ties common
+    rng = np.random.default_rng(14)
+    pool = np.array([0.0, 0.25, 0.5, 1.0, 2.5])
+    for i in range(4000):
+        draw = rng.choice(pool, 7) if i % 2 else rng.uniform(0.0, 5.0, 7)
+        n, vx, vz, sx, sz, n_over, nn2_over = (float(v) for v in draw)
+        tag = ("exact", "mean-N")[i % 4 // 2]
+        want = _three_permutation_checks(
+            n,
+            {"x": vx, "y": vx, "z": vz},
+            {"x": sx, "y": sx, "z": sz},
+            n_over,
+            nn2_over,
+            tag,
+        )
+        got = spinmoments.tightest_permutations(
+            n, vx, vz, sx, sz, n_over, nn2_over, tag
+        )
+        got = [(c.lhs.hex(), c.rhs.hex(), c.satisfied, c.approximation) for c in got]
+        want = [(lhs.hex(), rhs.hex(), ok, a) for lhs, rhs, ok, a in want]
+        assert got == want
 
 
 def test_witness_flags_and_xi_identity():
@@ -104,12 +148,13 @@ def test_witness_flags_and_xi_identity():
     table = build_occupation_table(FreeSpaceGrid(half_width=8), params)
     moments = moments_of(table, eta=-1)
     report = witness_report(moments)
-    assert report.inequality_sum.approximation == "exact"
-    assert report.inequality_single.approximation == "mean-N"
-    assert report.inequality_pair.approximation == "mean-N"
-    expected = 2 * (moments.var_jx + moments.var_jy + moments.var_jz) / moments.mean_n
-    assert report.xi_squared == pytest.approx(expected, rel=1e-15)
-    assert report.entanglement_witnessed == (report.xi_squared < 1.0)
+    assert report.sum.approximation == "exact"
+    assert report.single.approximation == "mean-N"
+    assert report.pair.approximation == "mean-N"
+    xi2 = xi_squared(moments)
+    expected = 2 * (moments.var_jx + moments.var_jx + moments.var_jz) / moments.mean_n
+    assert xi2 == pytest.approx(expected, rel=1e-15)
+    assert report.sum.satisfied == (xi2 >= 1.0)
 
 
 def test_bose_table_satisfies_all_inequalities():
@@ -117,8 +162,8 @@ def test_bose_table_satisfies_all_inequalities():
     table = build_occupation_table(FreeSpaceGrid(half_width=8), params)
     moments = moments_of(table, eta=+1)
     report = witness_report(moments)
-    assert all(check.satisfied for check in report.checks)
-    for var in (moments.var_jx, moments.var_jy, moments.var_jz):
+    assert all(check.satisfied for check in report)
+    for var in (moments.var_jx, moments.var_jz):
         assert var > moments.mean_n / 4.0
 
 
@@ -135,8 +180,8 @@ def test_bose_never_witnessed_property(z, t, h_frac):
     moments = moments_of(table, eta=+1)
     if moments.mean_n > 6.0:
         report = witness_report(moments)
-        assert all(check.satisfied for check in report.checks)
-        assert not report.entanglement_witnessed
+        assert all(check.satisfied for check in report)
+        assert not xi_squared(moments) < 1.0
     assert min(moments.var_jx, moments.var_jz) > moments.mean_n / 4.0
 
 
@@ -174,6 +219,11 @@ def test_sweep_rejects_empty_grid():
         singlet_fraction_sweep(FreeSpaceContinuum(), [], [0.0])
 
 
+def test_sweep_errors_name_the_grid_point():
+    with pytest.raises(occupancy.DomainError, match=r"^at grid point T=0\.5, P=1\.0: "):
+        singlet_fraction_sweep(FreeSpaceContinuum(), [0.5], [1.0])
+
+
 @pytest.mark.parametrize(
     "model",
     [FreeSpaceContinuum(), FreeSpaceGrid(), HarmonicTrap()],
@@ -208,7 +258,8 @@ def test_moments_at_builds_one_table_per_p_evaluation(model, monkeypatch):
         evals = calls.count("polarization_at")
         per_eval = ["polarization_at", "build_occupation_table", "spin_sums"]
         assert evals > 0 and calls == per_eval * evals + ["collective_variances"]
-        assert moments.polarization == pytest.approx(p, abs=occupancy.P_TOLERANCE)
+        polarization = 2.0 * moments.mean_jz / moments.mean_n
+        assert polarization == pytest.approx(p, abs=occupancy.P_TOLERANCE)
 
 
 def test_low_t_limit_approaches_total_singlet():
@@ -234,19 +285,25 @@ def test_detailed_balance_gas_models(model, t, p):
     "model,spin_stats",
     [
         (FreeSpaceContinuum(), "fermi"),
+        (FreeSpaceContinuum(), "bose"),
         (FreeSpaceGrid(half_width=6), "fermi"),
         (FreeSpaceGrid(half_width=6), "bose"),
         (HarmonicTrap(level_spacing=0.1), "fermi"),
         (HarmonicTrap(level_spacing=0.1), "bose"),
     ],
-    ids=["continuum-fermi", "grid-fermi", "grid-bose", "trap-fermi", "trap-bose"],
+    ids=[
+        "continuum-fermi",
+        "continuum-bose",
+        "grid-fermi",
+        "grid-bose",
+        "trap-fermi",
+        "trap-bose",
+    ],
 )
 @pytest.mark.parametrize("t,h", [(0.1, 0.05), (0.5, 0.3), (1.0, 0.5)])
 def test_fluctuation_dissipation_gas_models(model, spin_stats, t, h):
     # Var(Jz) = T d<Jz>/dH at fixed mu (fixed fugacity for Bose), by a
-    # central difference.  The continuum Bose gas is left out: its sqrt(e)
-    # endpoint limits the quadrature to ~2e-4 here, until the continuum
-    # moves to u = sqrt(e) nodes (ROADMAP item 2).
+    # central difference.
     def moments(field):
         if spin_stats == "fermi":
             params = GasParameters.fermi(t, mu=1.0, field=field)
@@ -262,10 +319,10 @@ def test_fluctuation_dissipation_gas_models(model, spin_stats, t, h):
 # T* from the bisection that the Illinois search replaced (midpoint of a
 # bracket narrower than T_TOLERANCE), for the brackets below
 BISECTION_T_STAR = {
-    ("continuum", 0.0): 1.1163434076309202,
-    ("continuum", 0.2): 1.0758606767654415,
+    ("continuum", 0.0): 1.1163386869430543,
+    ("continuum", 0.2): 1.075857844352722,
     ("continuum", 0.5): 0.8642124128341674,
-    ("continuum", 0.8): 0.44249448299407956,
+    ("continuum", 0.8): 0.44249353885650633,
     ("grid", 0.0): 1.1202738523483275,
     ("grid", 0.2): 1.0788347101211548,
     ("grid", 0.5): 0.8647175264358521,
@@ -361,9 +418,9 @@ def test_free_space_threshold():
 
 def test_free_space_threshold_pinned_polylog():
     # root of (3/2) Li_{1/2}(-e^{1/T}) / Li_{3/2}(-e^{1/T}) = 1, from
-    # 30-digit mpmath: 1.116339099141147
+    # 30-digit mpmath
     t_star = find_threshold(FreeSpaceContinuum(), 0.0)
-    assert t_star == pytest.approx(1.11633910, abs=1e-5)
+    assert t_star == pytest.approx(1.11633909914114737, abs=1e-8)
 
 
 def test_threshold_shrinks_with_polarization():
