@@ -133,6 +133,7 @@ def test_deterministic_ordering():
         HarmonicTrap(level_spacing=1.0),
         HarmonicTrap(level_spacing=-0.5),
         FreeSpaceGrid(half_width=0),
+        HarmonicTrap(level_spacing=0.0),
         FreeSpaceContinuum(),
     ],
 )
