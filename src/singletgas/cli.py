@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lattice, oracle, spectra, spinmoments
-from .occupancy import DomainError, NoConvergence
+from .occupancy import DegenerateInputError, DomainError, NoConvergence
 from .rng import Lcg64
 
 EXIT_OK = 0
@@ -277,12 +277,12 @@ def run_validate(cfg):
     gen = Lcg64(cfg.seed)
     samplers = [_sample_fermi_ensemble] * cfg.samples_fermi
     samplers += [_sample_bose_ensemble] * cfg.samples_bose
-    rows = []
-    for i, sample in enumerate(samplers):
-        ens = sample(gen)
-        dev = oracle.oracle_deviation(ens)
-        ok = dev < ORACLE_RTOL
-        rows.append((i, ens.statistics == "bose", len(ens.energies), dev, ok))
+    ensembles = [sample(gen) for sample in samplers]
+    deviations = oracle.oracle_deviations(ensembles)
+    rows = [
+        (i, ens.statistics == "bose", len(ens.energies), dev, dev < ORACLE_RTOL)
+        for i, (ens, dev) in enumerate(zip(ensembles, deviations))
+    ]
     _write_table(cfg, ("index", "is_bose", "modes", "max_rel_err", "ok"), rows)
     return sum(not row[-1] for row in rows)
 
@@ -335,7 +335,7 @@ def main(argv=None):
 
     try:
         return run(cfg)
-    except (DomainError, spinmoments.BracketError) as err:
+    except (DomainError, DegenerateInputError, spinmoments.BracketError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     except NoConvergence as err:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -117,78 +116,95 @@ def _occupation_cutoff(ens):
     raise NoConvergence(f"boson cutoff above {MAX_BOSE_CUTOFF} at beta * gap = {u:.3g}")
 
 
-def _spin_products(ens, shift, cut):
-    """Weights of the total count of one spin species (level shift
-    ``shift``, occupations up to ``cut`` per orbital), and row m of the
-    same with mode m's factor weighted by its occupation."""
-    occ = np.arange(cut + 1)
-    factors = []
-    for eps in ens.energies:
-        logw = -ens.beta * (eps + shift - ens.mu) * occ
-        factors.append(np.exp(logw - logw.max()))
-    marked = [
-        reduce(np.convolve, factors[:m] + [occ * f] + factors[m + 1 :])
-        for m, f in enumerate(factors)
-    ]
-    return reduce(np.convolve, factors), np.array(marked)
+def _convolve_rows(p, f):
+    """Convolve each row (last axis) of ``p`` with the matching row of ``f``.
+
+    The shapes alone choose the method: ``np.convolve`` per row when both row
+    lengths exceed the row count (long boson rows stay in C), else a loop over
+    the shorter operand's coefficients (``p``'s on a tie), each step one
+    shifted multiply-add over all rows.
+    """
+    n, k = p.shape[-1], f.shape[-1]
+    if min(n, k) > p[..., 0].size:
+        rows = map(np.convolve, p.reshape(-1, n), f.reshape(-1, k))
+        return np.reshape(list(rows), p.shape[:-1] + (n + k - 1,))
+    if n <= k:
+        p, f, n, k = f, p, k, n
+    out = np.zeros(p.shape[:-1] + (n + k - 1,))
+    for j in range(k):
+        out[..., j : j + n] += f[..., j, None] * p
+    return out
 
 
-def _moments(w, n, jz, jz2, jx2):
-    """Moments from the weight ``w`` of each N in ``n`` and the weighted
-    sums ``jz``, ``jz2``, ``jx2`` of Jz, Jz^2 and (Jx)^2 at that N."""
-    z = w.sum()
-    mean_jz = float(jz.sum() / z)
-    return SpinMoments(
-        mean_n=float((w * n).sum() / z),
-        mean_jz=mean_jz,
-        var_jx=float(jx2.sum() / z),  # <(Jx)^2>, and <Jx> = 0 identically
-        var_jz=float(jz2.sum() / z) - mean_jz**2,
-    )
-
-
-def _exact_report(ens, cut):
-    up, a = _spin_products(ens, -0.5 * ens.field, cut)
-    dn, b = _spin_products(ens, 0.5 * ens.field, cut)
-    occ = np.arange(up.size, dtype=float)
-    up_n, dn_n, conv = occ * up, occ * dn, np.convolve
+def _exact_reports(ensembles, cut):
+    """ExactReport of each ensemble, all of one statistics, at occupation
+    cutoff ``cut``, as one (ensemble, spin, mode) array.  Modes are padded to
+    the largest count with the unit factor (1, 0, ...), whose marked row is
+    zero, so the padding adds only exact zeros."""
+    modes = max(len(ens.energies) for ens in ensembles)
+    pads = [(np.nan,) * (modes - len(ens.energies)) for ens in ensembles]
+    eps = np.array([ens.energies + pad for ens, pad in zip(ensembles, pads)])
+    params = np.array([(ens.beta, ens.mu, ens.field) for ens in ensembles])
+    beta, mu, h = params.T[..., None, None]
+    occ = np.arange(cut + 1.0)
+    # orbital factors over (ensemble, spin, mode, occupation), spin up at
+    # -H/2; the NaN padding becomes the unit factor
+    logw = (-beta * (eps[:, None] + h * [[-0.5], [0.5]] - mu))[..., None] * occ
+    f = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    f = np.where(np.isnan(f), occ == 0, f)
+    # one fold over the modes: row m < modes weights mode m's factor by its
+    # occupation (the marked rows), row ``modes`` is the plain spin product
+    marks = np.arange(modes + 1)[:, None]
+    spin = np.ones(f.shape[:2] + (modes + 1, 1))
+    for j in range(modes):
+        fj = f[:, :, j, None]
+        spin = _convolve_rows(spin, np.where(marks == j, occ * fj, fj))
     # over the sectors of each N: the weight and the weighted Jz, Jz^2 and
-    # (Jx)^2, whose per-mode products pair marked rows (module notes)
-    w = conv(up, dn)
-    n = np.arange(w.size, dtype=float)
-    jz = 0.5 * (conv(up_n, dn) - conv(up, dn_n))
-    jz2 = 0.25 * (conv(occ * up_n, dn) - 2.0 * conv(up_n, dn_n) + conv(up, occ * dn_n))
-    eta = -1.0 if ens.statistics == "fermi" else 1.0
-    jx2 = 0.25 * n * w + 0.5 * eta * sum(map(conv, a, b))
-    moments = _moments(w, n, jz, jz2, jx2)
+    # (Jx)^2, whose per-mode products pair marked rows (module notes); the
+    # six spin-product pairs carry (n_up, n_dn) powers 00 10 01 20 11 02
+    n_spin = np.arange(spin.shape[-1])
+    powers = np.array([[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]])[..., None]
+    sides = np.concatenate([n_spin**powers * spin[:, :, -1:], spin[:, :, :-1]], axis=2)
+    terms = _convolve_rows(sides[:, 0], sides[:, 1])
+    w, up_n, dn_n, up_n2, cross, dn_n2, *jx = np.moveaxis(terms, 1, 0)
+    n = np.arange(w.shape[-1], dtype=float)
+    jz, jz2 = 0.5 * (up_n - dn_n), 0.25 * (up_n2 - 2.0 * cross + dn_n2)
+    eta = -1.0 if ensembles[0].statistics == "fermi" else 1.0
+    jx2 = 0.25 * n * w + 0.5 * eta * sum(jx)
 
-    w2, n2 = w[2:], n[2:]  # the N >= 2 sectors
-    z2 = w2.sum()
-    if not z2 > 0:
-        raise DegenerateInputError(f"no weight on the N >= 2 sectors of {ens!r}")
-    sector = _moments(*(v[2:] for v in (w, n, jz, jz2, jx2)))
+    w2, n2 = w[:, 2:], n[2:]  # the N >= 2 sectors
+    z2 = w2.sum(axis=-1)
+    if not (z2 > 0).all():
+        empty = ensembles[int(np.argmin(z2 > 0))]
+        raise DegenerateInputError(f"no weight on the N >= 2 sectors of {empty!r}")
+    columns = []
+    for lo in (0, 2):  # every sector, then N >= 2; Var Jx = <(Jx)^2> as <Jx> = 0
+        z, *s = (v[:, lo:].sum(axis=-1) for v in (w, w * n, jz, jx2, jz2))
+        columns += [s[0] / z, s[1] / z, s[2] / z, s[3] / z - (s[1] / z) ** 2]
     inv = 1.0 / (n2 - 1.0)
-    jx2_over = float((jx2[2:] * inv).sum() / z2)
-    jz2_over = float((jz2[2:] * inv).sum() / z2)
-    n_over = float((w2 * n2 * inv).sum() / (2.0 * z2))
-    nn2_over = float((w2 * n2 * (n2 - 2.0) * inv).sum() / (4.0 * z2))
-
-    checks = tightest_permutations(
-        sector.mean_n,
-        sector.var_jx,
-        sector.var_jz,
-        jx2_over,
-        jz2_over,
-        n_over,
-        nn2_over,
-        "exact",
-    )
-    return ExactReport(moments, sector, float(1.0 - z2 / w.sum()), checks, cut)
+    columns += [
+        (jx2[:, 2:] * inv).sum(axis=-1) / z2,
+        (jz2[:, 2:] * inv).sum(axis=-1) / z2,
+        (w2 * n2 * inv).sum(axis=-1) / (2.0 * z2),
+        (w2 * n2 * (n2 - 2.0) * inv).sum(axis=-1) / (4.0 * z2),
+        1.0 - z2 / w.sum(axis=-1),
+    ]
+    return [
+        ExactReport(
+            SpinMoments(*row[:4]),
+            SpinMoments(*row[4:8]),
+            row[12],
+            tightest_permutations(row[4], row[6], row[7], *row[8:12], "exact"),
+            cut,
+        )
+        for row in np.stack(columns, axis=1).tolist()
+    ]
 
 
 def exact_moments(ens):
     """Exact moments and inequality sides at the cutoff of
     :func:`_occupation_cutoff`; see :class:`ExactReport`."""
-    return _exact_report(ens, _occupation_cutoff(ens))
+    return _exact_reports([ens], _occupation_cutoff(ens))[0]
 
 
 def closed_form_moments(ens):
@@ -202,16 +218,20 @@ def closed_form_moments(ens):
     return spinmoments.collective_variances(occupancy.spin_sums(table, params.eta))
 
 
-def oracle_deviation(ens):
-    """Max relative deviation between exact and closed-form moments."""
-    exact = exact_moments(ens).moments
-    wick = closed_form_moments(ens)
-    dev = 0.0
-    for a, b in (
-        (exact.mean_n, wick.mean_n),
-        (exact.mean_jz, wick.mean_jz),
-        (exact.var_jx, wick.var_jx),
-        (exact.var_jz, wick.var_jz),
-    ):
-        dev = max(dev, abs(a - b) / max(1.0, abs(a), abs(b)))
-    return dev
+def oracle_deviations(ensembles):
+    """Max relative deviation between exact and closed-form moments of each
+    ensemble, in order.  Every cutoff is found before any array is built, so
+    NoConvergence comes first; then each group of ensembles sharing
+    (statistics, cutoff) runs as one batch."""
+    groups = {}
+    for i, ens in enumerate(ensembles):
+        groups.setdefault((ens.statistics, _occupation_cutoff(ens)), []).append(i)
+    exact = {}
+    for (_, cut), members in groups.items():
+        exact.update(zip(members, _exact_reports([ensembles[i] for i in members], cut)))
+    deviations = []
+    for i, ens in enumerate(ensembles):
+        wick = closed_form_moments(ens)
+        pairs = zip(vars(exact[i].moments).values(), vars(wick).values())
+        deviations.append(max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in pairs))
+    return deviations

@@ -26,5 +26,8 @@ class Lcg64:
         return lo + (hi - lo) * ((self.next_u64() >> 11) / float(1 << 53))
 
     def randint(self, lo, hi):
-        """Uniform integer in [lo, hi]; modulo bias is irrelevant here."""
+        """Integer in [lo, hi]: the state modulo the range.  The low b bits of
+        the state repeat every 2^b draws, so over a range of 2^b values the
+        results do too: ``randint(1, 2)`` alternates, and ``randint(1, 4)``
+        repeats every 4th draw (the validate samplers keep this period)."""
         return lo + self.next_u64() % (hi - lo + 1)

@@ -213,6 +213,18 @@ def test_exit_codes(tmp_path):
     assert status == cli.EXIT_DOMAIN
 
 
+def test_degenerate_input_exit_code(tmp_path, capsys):
+    # a trap of mu = 1e-300 level spacings holds no particle: the zero total
+    # number is a DegenerateInputError, reported as a domain error
+    out = tmp_path / "deg.csv"
+    job = "workflow = freespace\nspectrum = trap\nmu_over_homega = 1e-300\n"
+    job += f"out = {out}\n"
+    assert run_cli(tmp_path, job) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err == "error: zero total particle number, polarization undefined\n"
+    assert not out.exists()
+
+
 def test_validate_exit_status_counts_failed_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "ORACLE_RTOL", 0.0)
     out = tmp_path / "v.csv"

@@ -12,7 +12,7 @@ from singletgas.oracle import (
     FockEnsemble,
     closed_form_moments,
     exact_moments,
-    oracle_deviation,
+    oracle_deviations,
 )
 from singletgas.rng import Lcg64
 from singletgas.spinmoments import SpinMoments, tightest_permutations
@@ -41,7 +41,7 @@ def test_deep_fermi_sea_is_singlet():
 
 def test_two_bose_modes_match_closed_form():
     ens = FockEnsemble("bose", (0.0, 0.5), beta=1.0, mu=float(np.log(0.3)))
-    assert oracle_deviation(ens) < 1e-10
+    assert oracle_deviations([ens])[0] < 1e-10
 
 
 def test_bose_mu_reaching_level_rejected():
@@ -56,30 +56,35 @@ def test_mode_limits_enforced():
         FockEnsemble("bose", tuple(np.ones(5)), beta=1.0, mu=0.0)
 
 
+# The mode counts cycle explicitly: Lcg64.randint reads the low bits of the
+# state, which repeat with a short period (see its docstring).
+
+
 def test_random_fermi_ensembles_match_wick():
     gen = Lcg64(123)
-    for _ in range(25):
-        modes = gen.randint(1, 4)
-        ens = FockEnsemble(
+    ensembles = [
+        FockEnsemble(
             "fermi",
-            energies=tuple(gen.uniform(-1.0, 1.0) for _ in range(modes)),
+            energies=tuple(gen.uniform(-1.0, 1.0) for _ in range(1 + i % 4)),
             beta=gen.uniform(0.2, 5.0),
             mu=gen.uniform(-1.0, 1.0),
             field=gen.uniform(0.0, 1.0),
         )
-        assert oracle_deviation(ens) < 1e-10
+        for i in range(25)
+    ]
+    assert max(oracle_deviations(ensembles)) < 1e-10
 
 
 def test_random_bose_ensembles_match_wick():
     gen = Lcg64(321)
-    for _ in range(5):
-        modes = gen.randint(1, 2)
-        energies = tuple(gen.uniform(0.2, 1.5) for _ in range(modes))
+    ensembles = []
+    for i in range(5):
+        energies = tuple(gen.uniform(0.2, 1.5) for _ in range(1 + i % 2))
         beta = gen.uniform(0.5, 3.0)
         h = gen.uniform(0.0, 0.3)
         mu = min(energies) - h / 2.0 - gen.uniform(0.3, 3.0) / beta
-        ens = FockEnsemble("bose", energies, beta=beta, mu=mu, field=h)
-        assert oracle_deviation(ens) < 1e-10
+        ensembles.append(FockEnsemble("bose", energies, beta=beta, mu=mu, field=h))
+    assert max(oracle_deviations(ensembles)) < 1e-10
 
 
 def test_low_particle_sector_weight_reported():
@@ -99,9 +104,8 @@ def test_empty_pair_sector_rejected():
 
 def test_exact_bose_inequalities_hold():
     gen = Lcg64(99)
-    for _ in range(5):
-        modes = gen.randint(1, 2)
-        energies = tuple(gen.uniform(0.2, 1.0) for _ in range(modes))
+    for i in range(5):
+        energies = tuple(gen.uniform(0.2, 1.0) for _ in range(1 + i % 2))
         beta = gen.uniform(0.5, 2.0)
         mu = min(energies) - gen.uniform(0.3, 2.0) / beta
         report = exact_moments(FockEnsemble("bose", energies, beta=beta, mu=mu))
@@ -149,9 +153,9 @@ def _report_values(report):
 
 
 @st.composite
-def bose_ensembles(draw):
+def bose_ensembles(draw, max_modes=4):
     """Bose ensembles of 1-4 modes at beta * gap in [0.1, 40] and H >= 0."""
-    energies = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4))
+    energies = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=max_modes))
     beta, h = draw(st.floats(0.2, 5.0)), draw(st.floats(0.0, 1.0))
     mu = min(energies) - h / 2.0 - draw(st.floats(0.1, 40.0)) / beta
     return FockEnsemble("bose", tuple(energies), beta=beta, mu=mu, field=h)
@@ -163,7 +167,7 @@ def test_bose_cutoff_matches_far_larger_cutoff(ens):
     # the tail bound's cutoff changes no reported value against a cutoff
     # more than twice as large
     report = exact_moments(ens)
-    reference = oracle._exact_report(ens, 2 * report.n_cut + 60)
+    (reference,) = oracle._exact_reports([ens], 2 * report.n_cut + 60)
     for got, want in zip(_report_values(report), _report_values(reference)):
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
@@ -279,7 +283,7 @@ BRUTE_FORCE_ENSEMBLES = [
 )
 def test_exact_report_matches_brute_force(ens, cut):
     # at a fixed cutoff, not the one exact_moments works out
-    report = oracle._exact_report(ens, cut)
+    (report,) = oracle._exact_reports([ens], cut)
     moments, sector, weight_low, checks = _brute_force_report(ens, cut)
 
     def close(a, b):
@@ -293,6 +297,43 @@ def test_exact_report_matches_brute_force(ens, cut):
         close(got.lhs, want.lhs)
         close(got.rhs, want.rhs)
         assert got.satisfied == want.satisfied
+
+
+@st.composite
+def mixed_batches(draw):
+    """(ensembles, cut): 1-5 Fermi ensembles of 1-4 modes at cut 1, or 1-3
+    Bose ensembles of 1-2 modes at the fixed small cut 4."""
+    if draw(st.booleans()):
+        ensembles = [
+            FockEnsemble(
+                "fermi",
+                tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))),
+                beta=draw(st.floats(0.2, 5.0)),
+                mu=draw(st.floats(-1.0, 1.0)),
+                field=draw(st.floats(0.0, 1.0)),
+            )
+            for _ in range(draw(st.integers(1, 5)))
+        ]
+        return ensembles, 1
+    count = draw(st.integers(1, 3))
+    return [draw(bose_ensembles(max_modes=2)) for _ in range(count)], 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=mixed_batches())
+def test_batched_reports_match_brute_force_and_lone_reports(batch):
+    # padding to the batch's largest mode count changes no report beyond
+    # round-off, against both the brute force and the ensemble run alone
+    ensembles, cut = batch
+    for ens, report in zip(ensembles, oracle._exact_reports(ensembles, cut)):
+        brute = oracle.ExactReport(*_brute_force_report(ens, cut), cut)
+        (alone,) = oracle._exact_reports([ens], cut)
+        for other, rtol in ((brute, 1e-12), (alone, 1e-14)):
+            for got, want in zip(_report_values(report), _report_values(other)):
+                assert abs(got - want) <= rtol * max(1.0, abs(got), abs(want))
+            assert [c.satisfied for c in report.checks] == [
+                c.satisfied for c in other.checks
+            ]
 
 
 @st.composite

@@ -423,6 +423,75 @@ def test_free_space_threshold_pinned_polylog():
     assert t_star == pytest.approx(1.11633909914114737, abs=1e-8)
 
 
+# Continuum moments at mu = 1 and fixed (T, H), from 40-digit mpmath.  With
+# g = Gamma(3/2) T^{3/2}, z_pm = exp((1 +- H/2) / T) and L_s = Li_s(-z_+),
+# M_s = Li_s(-z_-) (spin up is z_+):
+#   <N> = -g (L_{3/2} + M_{3/2}),   P = (L_{3/2} - M_{3/2}) / (L_{3/2} + M_{3/2}),
+#   Var Jz = -g (L_{1/2} + M_{1/2}) / 4,
+#   Var Jx = <Jz> coth(H / 2T) / 2 with <Jz> = P <N> / 2 (Var Jz at H = 0).
+CONTINUUM_POLYLOG_MOMENTS = {  # (T, H): (<N>, P, Var Jx, Var Jz)
+    (0.3, 0.0): (1.4926234083307153, 0.0, 0.143448851383221, 0.143448851383221),
+    (0.3, 0.4): (
+        1.5147045407081876,
+        0.25202916110023976,
+        0.16376153324181064,
+        0.14257250976912542,
+    ),
+    (1.0, 0.9): (
+        2.8724377451538547,
+        0.285293033530573,
+        0.4855939856133654,
+        0.45562292832493617,
+    ),
+    (0.05, 0.2): (
+        1.3424738595506887,
+        0.14876059554942925,
+        0.051789807414170434,
+        0.02494214615901577,
+    ),
+    (2.0, 1e-3): (
+        5.601469463343011,
+        0.0001807310475441934,
+        1.0123594649876149,
+        1.012359445622158,
+    ),
+}
+
+
+@pytest.mark.parametrize("t, h", sorted(CONTINUUM_POLYLOG_MOMENTS))
+def test_continuum_moments_match_polylogs(t, h):
+    mean_n, p, var_jx, var_jz = CONTINUUM_POLYLOG_MOMENTS[t, h]
+    params = GasParameters.fermi(t, mu=1.0, field=h)
+    sums = spin_sums(build_occupation_table(FreeSpaceContinuum(), params), -1.0)
+    moments = collective_variances(sums)
+    assert sums.polarization == pytest.approx(p, rel=0.0, abs=1e-13)
+    for got, want in (
+        (moments.mean_n, mean_n),
+        (moments.var_jx, var_jx),
+        (moments.var_jz, var_jz),
+    ):
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+# Thomas-Fermi limit of the trap (DOS e^2): xi^2 at P = 0 is
+# 3 Li_2(-z) / (2 Li_3(-z)) with z = exp(1/T); its root, from 30-digit mpmath
+TRAP_THOMAS_FERMI_T_STAR = 0.3645975200230655
+
+
+def test_trap_threshold_converges_to_thomas_fermi_root():
+    # the shell sum's T*(0) approaches the Thomas-Fermi root as
+    # (homega / mu)^2, so Richardson extrapolation of the two finest traps
+    # removes the leading error
+    t_star = {
+        r: find_threshold(HarmonicTrap(level_spacing=1.0 / r), 0.0)
+        for r in (60, 120, 240)
+    }
+    for r, t in t_star.items():
+        assert (TRAP_THOMAS_FERMI_T_STAR - t) * r**2 == pytest.approx(0.1537, abs=5e-4)
+    extrapolated = (4.0 * t_star[240] - t_star[120]) / 3.0
+    assert abs(extrapolated - TRAP_THOMAS_FERMI_T_STAR) < 1e-8
+
+
 def test_threshold_shrinks_with_polarization():
     t0 = find_threshold(FreeSpaceContinuum(), 0.0)
     t_half = find_threshold(FreeSpaceContinuum(), 0.5)
