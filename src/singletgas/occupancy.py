@@ -9,6 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectra
+from .spectra import DomainError
 
 EXP_GUARD = 700.0  # double-precision exp() saturation
 BOSE_MARGIN = 1e-12  # relative guard against a diverging lowest level
@@ -16,10 +17,6 @@ BOSE_MARGIN = 1e-12  # relative guard against a diverging lowest level
 SPIN_UP = 0.5
 SPIN_DOWN = -0.5
 SPINS = np.array([[SPIN_UP], [SPIN_DOWN]])  # both spins as one broadcast column
-
-
-class DomainError(ValueError):
-    """Parameters outside the physical domain (e.g. Bose fugacity too large)."""
 
 
 class DegenerateInputError(ValueError):
@@ -101,10 +98,7 @@ def occupation(energy, params, sigma=SPIN_UP):
     """Mean occupation 1/(exp(beta(e - sigma H - mu)) - eta) of each level.
 
     ``sigma`` may be an array that broadcasts against the energies (a (2, 1)
-    column gives both spins in one pass).  The exponent is clipped at
-    EXP_GUARD, the double-precision exp range, and levels above it are set
-    to 0; far below it the Fermi formula itself rounds to exactly 1.  Bose
-    arguments <= 0 are a domain error (diverging or negative occupation).
+    column gives both spins in one pass).  See :func:`occupy` for the kernel.
     """
     if params.mu is None:
         raise ValueError("unresolved Bose parameters; call params.resolved(bottom)")
@@ -112,11 +106,18 @@ def occupation(energy, params, sigma=SPIN_UP):
         (np.asarray(energy, dtype=float) - sigma * params.field - params.mu)
         / params.temperature
     )
-    # x is a fresh array, so the kernel runs in place on it: the lattice
-    # passes a million levels
+    occupy(x, params.statistics)
+    return x if x.ndim else float(x)
+
+
+def occupy(x, statistics):
+    """Mean occupation 1/(exp(x) - eta), in place on the fresh array x (the
+    lattice passes a million levels).  x is clipped at EXP_GUARD, the exp
+    range, and levels above it (+inf too) are set to 0; far below it the Fermi
+    formula rounds to exactly 1.  Bose x <= 0 is a domain error."""
     above = x > EXP_GUARD
     np.minimum(x, EXP_GUARD, out=x)
-    if params.statistics == "bose":
+    if statistics == "bose":
         if np.any(x <= 0):
             raise DomainError("Bose occupation argument <= 0 (diverging occupation)")
         np.expm1(x, out=x)
@@ -125,7 +126,7 @@ def occupation(energy, params, sigma=SPIN_UP):
         x += 1.0
     np.divide(1.0, x, out=x)
     x[above] = 0.0
-    return x if x.ndim else float(x)
+    return x
 
 
 def build_occupation_table(model, params):
@@ -156,19 +157,18 @@ class SpinSums(NamedTuple):
 def spin_sums(table, eta):
     """SpinSums of ``table`` for statistics sign ``eta`` (-1 Fermi, +1 Bose).
 
-    The one place a table's occupations are summed: w n_up, w n_down, both
-    fluctuation sums and (w n_up) n_down come from one (5, levels) row
-    reduction.  Zero total number is a DegenerateInputError.
+    The one place a table's occupations are summed, in one (5, ..., levels)
+    reduction over the last axis: batch axes in n (2, ..., levels) give array
+    fields.  Zero total number is a DegenerateInputError.
     """
     if eta not in (1, -1):
         raise ValueError(f"statistics sign must be +-1, got {eta}")
     n = table.n
     wn = table.weights * n
-    up, down, fluct_up, fluct_down, cross = np.concatenate(
-        (wn, wn * (1.0 + eta * n), wn[:1] * n[1:])
-    ).sum(axis=1).tolist()
+    sums = np.concatenate((wn, wn * (1.0 + eta * n), wn[:1] * n[1:])).sum(axis=-1)
+    up, down, fluct_up, fluct_down, cross = sums.tolist() if sums.ndim == 1 else sums
     total = up + down
-    if total <= 0:
+    if (total <= 0) if sums.ndim == 1 else (total <= 0).any():
         raise DegenerateInputError("zero total particle number, polarization undefined")
     return SpinSums(
         total, up, down, (up - down) / total, fluct_up, fluct_down, eta * cross

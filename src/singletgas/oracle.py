@@ -48,7 +48,8 @@ class FockEnsemble:
     def __post_init__(self):
         if self.statistics not in ("fermi", "bose"):
             raise ValueError(f"unknown statistics {self.statistics!r}")
-        if not np.isfinite([*self.energies, self.beta, self.mu, self.field]).all():
+        finite = map(math.isfinite, (*self.energies, self.beta, self.mu, self.field))
+        if not all(finite):
             raise ValueError("energies, beta, mu and field must be finite")
         if self.beta <= 0:
             raise ValueError(f"inverse temperature must be positive, got {self.beta}")
@@ -136,16 +137,20 @@ def _convolve_rows(p, f):
     return out
 
 
-def _exact_reports(ensembles, cut):
-    """ExactReport of each ensemble, all of one statistics, at occupation
-    cutoff ``cut``, as one (ensemble, spin, mode) array.  Modes are padded to
-    the largest count with the unit factor (1, 0, ...), whose marked row is
-    zero, so the padding adds only exact zeros."""
+def _columns(ensembles, pad):
+    """Energies (ensemble, mode) padded with ``pad``; beta, mu, H (3, ensemble, 1)."""
     modes = max(len(ens.energies) for ens in ensembles)
-    pads = [(np.nan,) * (modes - len(ens.energies)) for ens in ensembles]
-    eps = np.array([ens.energies + pad for ens, pad in zip(ensembles, pads)])
+    eps = [ens.energies + (pad,) * (modes - len(ens.energies)) for ens in ensembles]
     params = np.array([(ens.beta, ens.mu, ens.field) for ens in ensembles])
-    beta, mu, h = params.T[..., None, None]
+    return np.array(eps), params.T[..., None]
+
+
+def _exact_table(ensembles, cut):
+    """ExactReport fields, one row per ensemble of one statistics at cutoff
+    ``cut``, from one (ensemble, spin, mode) array.  Padded modes get the unit
+    factor (1, 0, ...), whose marked row is zero: they add exact zeros."""
+    eps, params = _columns(ensembles, np.nan)
+    (beta, mu, h), modes = params[..., None], eps.shape[1]
     occ = np.arange(cut + 1.0)
     # orbital factors over (ensemble, spin, mode, occupation), spin up at
     # -H/2; the NaN padding becomes the unit factor
@@ -189,6 +194,11 @@ def _exact_reports(ensembles, cut):
         (w2 * n2 * (n2 - 2.0) * inv).sum(axis=-1) / (4.0 * z2),
         1.0 - z2 / w.sum(axis=-1),
     ]
+    return np.stack(columns, axis=1)
+
+
+def _exact_reports(ensembles, cut):
+    """ExactReport of each ensemble, from the rows of :func:`_exact_table`."""
     return [
         ExactReport(
             SpinMoments(*row[:4]),
@@ -197,7 +207,7 @@ def _exact_reports(ensembles, cut):
             tightest_permutations(row[4], row[6], row[7], *row[8:12], "exact"),
             cut,
         )
-        for row in np.stack(columns, axis=1).tolist()
+        for row in _exact_table(ensembles, cut).tolist()
     ]
 
 
@@ -207,31 +217,35 @@ def exact_moments(ens):
     return _exact_reports([ens], _occupation_cutoff(ens))[0]
 
 
+def _closed_forms(ensembles):
+    """Wick-route moments of ensembles of one statistics as (ensemble,) arrays.
+    Padded modes sit at energy +inf and weight 0, so they add exact zeros."""
+    eps, (beta, mu, h) = _columns(ensembles, np.inf)
+    # over T = 1 / beta: bit for bit the exponent of occupancy.occupation
+    x = (eps - occupancy.SPINS[..., None] * h - mu) / (1.0 / beta)
+    n = occupancy.occupy(x, ensembles[0].statistics)
+    eta = -1.0 if ensembles[0].statistics == "fermi" else 1.0
+    sums = occupancy.spin_sums(OccupationTable(eps, np.isfinite(eps) * 1.0, n), eta)
+    return spinmoments.collective_variances(sums)
+
+
 def closed_form_moments(ens):
     """Wick-route moments of a few-mode ensemble, for oracle comparison."""
-    energies = np.array(ens.energies, dtype=float)
-    params = occupancy.GasParameters(
-        ens.statistics, 1.0 / ens.beta, mu=ens.mu, field=ens.field
-    )
-    n = occupancy.occupation(energies, params, occupancy.SPINS)
-    table = OccupationTable(energies, np.ones_like(energies), n)
-    return spinmoments.collective_variances(occupancy.spin_sums(table, params.eta))
+    return SpinMoments(*(v.item() for v in vars(_closed_forms([ens])).values()))
 
 
 def oracle_deviations(ensembles):
     """Max relative deviation between exact and closed-form moments of each
-    ensemble, in order.  Every cutoff is found before any array is built, so
-    NoConvergence comes first; then each group of ensembles sharing
-    (statistics, cutoff) runs as one batch."""
+    ensemble, in order.  Every cutoff (and so NoConvergence) comes first, then
+    one batch of (moment, ensemble) arrays per (statistics, cutoff) group."""
     groups = {}
     for i, ens in enumerate(ensembles):
         groups.setdefault((ens.statistics, _occupation_cutoff(ens)), []).append(i)
-    exact = {}
+    deviations = np.empty(len(ensembles))
     for (_, cut), members in groups.items():
-        exact.update(zip(members, _exact_reports([ensembles[i] for i in members], cut)))
-    deviations = []
-    for i, ens in enumerate(ensembles):
-        wick = closed_form_moments(ens)
-        pairs = zip(vars(exact[i].moments).values(), vars(wick).values())
-        deviations.append(max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in pairs))
-    return deviations
+        group = [ensembles[i] for i in members]
+        a = _exact_table(group, cut)[:, :4].T
+        b = np.array(list(vars(_closed_forms(group)).values()))
+        scale = np.maximum(1.0, np.maximum(abs(a), abs(b)))
+        deviations[members] = (abs(a - b) / scale).max(axis=0)
+    return deviations.tolist()

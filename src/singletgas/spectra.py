@@ -24,6 +24,12 @@ OCC_LOG_GUARD = math.log(1e12)
 # grid energy per unit of n^2 = nx^2 + ny^2 + nz^2, in units of mu
 GRID_ENERGY_UNIT = 1.0 / 30.0
 
+MAX_LEVELS = 2**24  # trap shells or grid n^2 values, checked before allocating
+
+
+class DomainError(ValueError):
+    """Parameters outside the physical domain (e.g. Bose fugacity too large)."""
+
 
 @cache
 def _gauss_rule():
@@ -107,6 +113,8 @@ def _grid_levels(model):
     w = model.half_width
     if w <= 0:
         raise ValueError(f"grid half-width must be positive, got {w}")
+    if 3 * w * w + 1 > MAX_LEVELS:
+        raise DomainError(f"grid half-width {w} needs over {MAX_LEVELS} shells")
     # states per n^2 on one axis, convolved over three: states per shell s
     axis = np.bincount(np.arange(-w, w) ** 2)
     counts = np.convolve(np.convolve(axis, axis), axis)
@@ -139,7 +147,10 @@ def _trap_levels(model, temperature, mu, field):
     if hw <= 0:
         raise ValueError(f"level spacing must be positive, got {hw}")
     top = mu + abs(field) / 2.0 + temperature * OCC_LOG_GUARD
-    last_shell = max(math.ceil(2.0 * mu / hw), math.ceil(top / hw - 1.5))
+    last = max(2.0 * mu / hw, top / hw - 1.5)
+    if last > MAX_LEVELS - 1:  # before ceil, which fails on inf
+        raise DomainError(f"trap needs over {MAX_LEVELS} shells, up to n = {last:.3g}")
+    last_shell = math.ceil(last)
     if last_shell < 0:
         raise ValueError(f"shell cutoff must be nonnegative, got {last_shell}")
     shells = np.arange(last_shell + 1)

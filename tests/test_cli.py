@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singletgas import cli, lattice, occupancy
+from singletgas import cli, lattice, occupancy, spectra
 from singletgas.cli import ConfigError, build_config, main, parse_config_text
 
 
@@ -222,6 +222,18 @@ def test_degenerate_input_exit_code(tmp_path, capsys):
     assert run_cli(tmp_path, job) == cli.EXIT_DOMAIN
     err = capsys.readouterr().err
     assert err == "error: zero total particle number, polarization undefined\n"
+    assert not out.exists()
+
+
+def test_oversized_trap_exit_code(tmp_path, capsys, monkeypatch):
+    # at T = 1e6 the trap asks for 8.3e8 shells, over MAX_LEVELS; numpy in
+    # spectra is unreachable, so a missing guard fails instead of allocating
+    monkeypatch.setattr(spectra, "np", None)
+    out = tmp_path / "big.csv"
+    job = f"workflow = freespace\nspectrum = trap\nt_grid = 1e6\nout = {out}\n"
+    assert run_cli(tmp_path, job) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: at grid point T=1000000.0, P=0.0: trap needs over")
     assert not out.exists()
 
 

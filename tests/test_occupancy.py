@@ -243,6 +243,42 @@ def test_spin_sums_match_level_by_level_sums(eta):
     assert sums.exchange == pytest.approx(exchange, rel=1e-15)
 
 
+@st.composite
+def padded_tables(draw):
+    """(tables, stacked): 1-5 tables of 1-6 levels and the (2, tables, 6)
+    table holding them, each padded with weight-0 levels of any occupation."""
+    count = draw(st.integers(1, 5))
+    weights, n = np.zeros((count, 6)), np.empty((2, count, 6))
+    tables = []
+    for i in range(count):
+        levels = draw(st.integers(1, 6))
+        w = draw(st.lists(st.floats(0.5, 20.0), min_size=levels, max_size=levels))
+        weights[i, :levels] = w
+        for spin in range(2):
+            n[spin, i] = draw(st.lists(st.floats(1e-6, 1.0), min_size=6, max_size=6))
+        alone = n[:, i, :levels].copy()
+        tables.append(OccupationTable(np.zeros(levels), np.array(w), alone))
+    return tables, OccupationTable(np.zeros((count, 6)), weights, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=padded_tables(), eta=st.sampled_from([-1.0, 1.0]))
+def test_stacked_spin_sums_match_each_table_bitwise(batch, eta):
+    # the weight-0 padding adds exact zeros at each row's end, so every
+    # field of every table comes out bit for bit as when summed alone
+    tables, stacked = batch
+    for i, alone in enumerate(tables):
+        row = [float(field[i]).hex() for field in spin_sums(stacked, eta)]
+        assert row == [float(field).hex() for field in spin_sums(alone, eta)]
+
+
+def test_stacked_spin_sums_reject_one_empty_table():
+    n = np.array([[[0.5, 0.2], [0.0, 0.0]], [[0.4, 0.1], [0.0, 0.0]]])
+    table = OccupationTable(None, np.ones((2, 2)), n)
+    with pytest.raises(DegenerateInputError):
+        spin_sums(table, -1.0)
+
+
 def test_spin_sums_reject_bad_statistics_sign():
     table = OccupationTable(np.zeros(1), np.ones(1), np.full((2, 1), 0.5))
     for eta in (0.0, 2.0, -0.5):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singletgas import oracle
+from singletgas import occupancy, oracle
 from singletgas.occupancy import DegenerateInputError, DomainError, NoConvergence
 from singletgas.oracle import (
     FockEnsemble,
@@ -15,7 +15,11 @@ from singletgas.oracle import (
     oracle_deviations,
 )
 from singletgas.rng import Lcg64
-from singletgas.spinmoments import SpinMoments, tightest_permutations
+from singletgas.spinmoments import (
+    SpinMoments,
+    collective_variances,
+    tightest_permutations,
+)
 
 
 def test_single_fermi_mode_equal_weights():
@@ -374,3 +378,83 @@ def test_fluctuation_dissipation_longitudinal_variance(ens):
     for m, a, b in zip(_both_routes(ens), up, dn):
         expected = (a.mean_jz - b.mean_jz) / (2.0 * step * ens.beta)
         assert abs(m.var_jz - expected) <= 1e-6 * max(1.0, abs(expected))
+
+
+def _per_ensemble_deviations(ensembles):
+    """The per-ensemble loop that oracle_deviations batches: exact reports
+    per (statistics, cutoff) group, then each ensemble's closed form through
+    its own GasParameters, occupation and one-table spin sums."""
+    groups = {}
+    for i, ens in enumerate(ensembles):
+        key = (ens.statistics, oracle._occupation_cutoff(ens))
+        groups.setdefault(key, []).append(i)
+    exact = {}
+    for (_, cut), members in groups.items():
+        group = [ensembles[i] for i in members]
+        exact.update(zip(members, oracle._exact_reports(group, cut)))
+    deviations = []
+    for i, ens in enumerate(ensembles):
+        energies = np.array(ens.energies, dtype=float)
+        params = occupancy.GasParameters(
+            ens.statistics, 1.0 / ens.beta, mu=ens.mu, field=ens.field
+        )
+        n = occupancy.occupation(energies, params, occupancy.SPINS)
+        table = occupancy.OccupationTable(energies, np.ones_like(energies), n)
+        wick = collective_variances(occupancy.spin_sums(table, params.eta))
+        pairs = zip(vars(exact[i].moments).values(), vars(wick).values())
+        deviations.append(max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in pairs))
+    return deviations
+
+
+@st.composite
+def mixed_groups(draw):
+    """Shuffled Fermi ensembles of 1-6 modes and Bose ensembles of 1-4 modes
+    at beta * gap >= 1, whose cutoffs stay below 70."""
+    fermi = [
+        FockEnsemble(
+            "fermi",
+            tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))),
+            beta=draw(st.floats(0.2, 5.0)),
+            mu=draw(st.floats(-1.0, 1.0)),
+            field=draw(st.floats(0.0, 1.0)),
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    bose = []
+    for _ in range(draw(st.integers(0 if fermi else 1, 4))):
+        energies = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4))
+        beta, h = draw(st.floats(0.2, 5.0)), draw(st.floats(0.0, 1.0))
+        mu = min(energies) - h / 2.0 - draw(st.floats(1.0, 40.0)) / beta
+        bose.append(FockEnsemble("bose", tuple(energies), beta=beta, mu=mu, field=h))
+    return draw(st.permutations(fermi + bose))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ensembles=mixed_groups())
+def test_batched_deviations_match_per_ensemble_loop_bitwise(ensembles):
+    got = oracle_deviations(ensembles)
+    assert [d.hex() for d in got] == [
+        d.hex() for d in _per_ensemble_deviations(ensembles)
+    ]
+
+
+def test_padded_closed_forms_match_lone_ensembles_bitwise():
+    # a 1-mode and a 6-mode Fermi ensemble, and a 1-mode and a 4-mode Bose
+    # pair: the short one is padded with five (three) modes at energy +inf
+    # and weight 0, which change no bit of either
+    fermi = [
+        FockEnsemble("fermi", (0.3,), beta=2.0, mu=0.5, field=0.4),
+        FockEnsemble("fermi", (-0.9, -0.5, -0.1, 0.2, 0.6, 0.9), beta=3.0, mu=0.1),
+    ]
+    bose = [
+        FockEnsemble("bose", (0.4,), beta=1.0, mu=-0.2, field=0.3),
+        FockEnsemble("bose", (0.2, 0.5, 0.9, 1.3), beta=1.5, mu=-0.6, field=0.2),
+    ]
+    for group in (fermi, bose):
+        batch = vars(oracle._closed_forms(group))
+        for i, ens in enumerate(group):
+            alone = vars(closed_form_moments(ens))
+            assert [float(batch[k][i]).hex() for k in alone] == [
+                v.hex() for v in alone.values()
+            ]
+        assert oracle_deviations(group) == [oracle_deviations([e])[0] for e in group]

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from singletgas import spectra
 from singletgas.spectra import (
     GRID_ENERGY_UNIT,
+    DomainError,
     FreeSpaceContinuum,
     FreeSpaceGrid,
     HarmonicTrap,
@@ -24,6 +25,40 @@ def test_trap_degeneracy_formula():
     _, weights = enumerate_levels(HarmonicTrap(level_spacing=0.5), 0.01, mu=5.0)
     n = np.arange(21)
     assert np.array_equal(weights, (n + 1) * (n + 2) / 2)
+
+
+def test_trap_shell_count_capped_before_any_array(monkeypatch):
+    # the cold trap of test_trap_shell_degeneracies holds 3 shells: a cap of
+    # 3 passes, a cap of 2 refuses it before numpy is reached
+    model = HarmonicTrap(level_spacing=1.0)
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 3)
+    assert len(enumerate_levels(model, 0.01)[0]) == 3
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 2)
+    monkeypatch.setattr(spectra, "np", None)
+    with pytest.raises(DomainError, match="trap needs over 2 shells, up to n = 2$"):
+        enumerate_levels(model, 0.01)
+
+
+def test_grid_size_capped_before_any_array(monkeypatch):
+    # half-width 2: n^2 in 0..3 w^2, so 13 values
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 13)
+    enumerate_levels(FreeSpaceGrid(half_width=2), 0.5)
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 12)
+    monkeypatch.setattr(spectra, "np", None)
+    with pytest.raises(DomainError, match="half-width 2 needs over 12 shells"):
+        enumerate_levels(FreeSpaceGrid(half_width=2), 0.5)
+
+
+@pytest.mark.parametrize(
+    "spacing, temperature", [(1.0 / 30.0, 1e6), (1e-300, 0.1), (5e-324, 0.1)]
+)
+def test_huge_traps_refused_at_the_real_cap(monkeypatch, spacing, temperature):
+    # 8.3e8 shells at T = 1e6 (mu / spacing = 30), over 2e300 at mu / spacing =
+    # 1e300, and an infinite count at the smallest spacing; numpy is
+    # unreachable, so a missing guard fails here instead of allocating
+    monkeypatch.setattr(spectra, "np", None)
+    with pytest.raises(DomainError, match="trap needs over 16777216 shells"):
+        enumerate_levels(HarmonicTrap(level_spacing=spacing), temperature)
 
 
 def momentum_grid(size):
