@@ -89,7 +89,6 @@ class GasParameters:
 class OccupationTable:
     """Mean occupations per level and spin over an enumerated spectrum."""
 
-    energies: np.ndarray
     weights: np.ndarray
     n: np.ndarray  # (2, levels): the up row, then the down row
 
@@ -132,14 +131,15 @@ def occupy(x, statistics):
 def build_occupation_table(model, params):
     """Materialize n_{alpha sigma} over the spectrum at the point ``params``.
 
-    Bose gases given by a fugacity are enumerated with the probe mu = 0.
+    A Bose gas given by a fugacity is enumerated at the probe mu = band bottom.
     """
-    probe_mu = params.mu if params.mu is not None else 0.0
+    bottom = spectra.band_bottom(model)
+    probe_mu = params.mu if params.mu is not None else bottom
     energies, weights = spectra.enumerate_levels(
         model, params.temperature, mu=probe_mu, field=params.field
     )
-    params = params.resolved(spectra.band_bottom(model))
-    return OccupationTable(energies, weights, occupation(energies, params, SPINS))
+    params = params.resolved(bottom)
+    return OccupationTable(weights, occupation(energies, params, SPINS))
 
 
 class SpinSums(NamedTuple):

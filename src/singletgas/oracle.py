@@ -225,7 +225,7 @@ def _closed_forms(ensembles):
     x = (eps - occupancy.SPINS[..., None] * h - mu) / (1.0 / beta)
     n = occupancy.occupy(x, ensembles[0].statistics)
     eta = -1.0 if ensembles[0].statistics == "fermi" else 1.0
-    sums = occupancy.spin_sums(OccupationTable(eps, np.isfinite(eps) * 1.0, n), eta)
+    sums = occupancy.spin_sums(OccupationTable(np.isfinite(eps) * 1.0, n), eta)
     return spinmoments.collective_variances(sums)
 
 

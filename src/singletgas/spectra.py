@@ -80,9 +80,6 @@ class HarmonicTrap:
     level_spacing: float = 1.0 / 30.0
 
 
-SpectrumModel = FreeSpaceGrid | FreeSpaceContinuum | HarmonicTrap
-
-
 def lattice_dispersion(k):
     """Tight-binding energy -2(cos kx + cos ky) in units of the hopping, k=(kx, ky)."""
     kx, ky = k

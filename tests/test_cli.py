@@ -237,6 +237,66 @@ def test_oversized_trap_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_cold_lattice_exit_code(tmp_path):
+    out = tmp_path / "cold.csv"
+    job = f"workflow = lattice\nlattice_size = 64\nt_over_j = 1e-9\nout = {out}\n"
+    assert run_cli(tmp_path, job) == cli.EXIT_OK
+    assert (tmp_path / "cold_correlation.csv").exists()
+
+
+def test_oversized_lattice_exit_code(tmp_path, capsys, monkeypatch):
+    # L = 100,000 asks for 1e10 momenta; numpy in lattice is unreachable
+    monkeypatch.setattr(lattice, "np", None)
+    out = tmp_path / "big.csv"
+    job = f"workflow = lattice\nlattice_size = 100000\nout = {out}\n"
+    assert run_cli(tmp_path, job) == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: lattice size 100000 needs over 16777216 sites\n"
+
+
+def _one_entry(r, value):
+    """A stand-in lattice function: an (L, L) array, zero but ``value`` at r."""
+
+    def fake(size, temperature):
+        values = np.zeros((size, size))
+        values[r] = value
+        return values
+
+    return fake
+
+
+# each lattice invariant check, made to fail by one patch of the lattice module
+LATTICE_INVARIANTS = {
+    "imaginary G": (
+        "IMAG_TOL", -1.0, "first-order correlation has a nonzero imaginary part"
+    ),
+    "onsite": (
+        "first_order_correlation",
+        _one_entry((0, 0), 2.0),
+        "onsite correlation -1.0 outside [0, 1/8]",
+    ),
+    "imaginary S": (
+        "spin_correlation_map",
+        _one_entry((1, 0), -0.1),
+        "structure factor has a nonzero imaginary part",
+    ),
+    "negative S": (
+        "spin_correlation_map",
+        _one_entry((0, 0), -0.1),
+        "structure factor significantly negative: -0.1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_INVARIANTS))
+def test_lattice_invariant_failures_exit_code(case, tmp_path, capsys, monkeypatch):
+    attr, patch, message = LATTICE_INVARIANTS[case]
+    monkeypatch.setattr(lattice, attr, patch)
+    out = tmp_path / "maps.csv"
+    job = f"workflow = lattice\nlattice_size = 4\nout = {out}\n"
+    assert run_cli(tmp_path, job) == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_validate_exit_status_counts_failed_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "ORACLE_RTOL", 0.0)
     out = tmp_path / "v.csv"

@@ -40,11 +40,11 @@ DIGESTS = {
         "out.json": "250ae544e7a9fa816cfb15400b33bc47610d30409241c27f831c3a72739d74ef",
     },
     ("lattice", "csv"): {
-        "out_correlation.csv": "263faa8fb8709339a28409e7ab199801bb34596b3907611a7999579b6e50c27e",
+        "out_correlation.csv": "e6852d8bc025616f0d3b228e2e3e2697efcf50ed8ebb30db4db92b45e05668ff",
         "out_structure_factor.csv": "9c4acc5a14d5443965a47c93a407a0b6df93e65f48f1ef763964534b70d41ece",
     },
     ("lattice", "json"): {
-        "out_correlation.json": "464fe7beed2fe0d111c8aa2b2658487169e56bda6c7fc87b21cd8f0de59a6330",
+        "out_correlation.json": "5b037e3ea074db46bb7255719194e3407ca09299ffd4bd8fc6453a14aaec200e",
         "out_structure_factor.json": "49b038f2d2f1dae62148381589e24811775983d0fdef4270433ac6cd5e3f879b",
     },
     ("threshold", "csv"): {

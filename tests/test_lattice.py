@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from singletgas import lattice, spectra
 from singletgas.lattice import (
     first_order_correlation,
     momentum_occupations,
@@ -162,3 +163,35 @@ def test_qfi_synthetic_cases():
     flat = qfi_staggered(np.full((L, L), 0.25))
     assert flat.density == pytest.approx(1.0)
     assert not flat.witnessed
+
+
+@pytest.mark.parametrize("temperature", [1e-5, 1e-9, 1e-300])
+@pytest.mark.parametrize("size", [4, 64])
+def test_maps_far_below_the_round_off_scale(size, temperature):
+    # cold enough that the zero-energy shell resolves its ~1e-16 round-off
+    # energies: k and -k must still get the same occupation, or G(r) turns
+    # complex
+    cmap = spin_correlation_map(size, temperature)
+    sf = structure_factor(cmap)
+    assert np.all(np.isfinite(cmap)) and np.all(np.isfinite(sf))
+    assert 0.0 <= cmap[0, 0] <= 0.125
+    assert abs(sf.mean() - cmap[0, 0]) <= 1e-10
+
+
+def test_lattice_size_capped_before_any_array(monkeypatch):
+    # 4 x 4 momenta: a cap of 16 passes, a cap of 15 refuses it before numpy
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 16)
+    assert momentum_occupations(4).shape == (4, 4)
+    monkeypatch.setattr(lattice, "np", None)
+    with pytest.raises(spectra.DomainError, match="lattice size 6 needs over 16 sites"):
+        momentum_occupations(6)
+    monkeypatch.setattr(spectra, "MAX_LEVELS", 15)
+    with pytest.raises(spectra.DomainError, match="lattice size 4 needs over 15 sites"):
+        momentum_occupations(4)
+
+
+def test_huge_lattice_refused_at_the_real_cap(monkeypatch):
+    # 4,098^2 = 16,793,604 momenta, over 2^24; numpy is unreachable
+    monkeypatch.setattr(lattice, "np", None)
+    with pytest.raises(spectra.DomainError, match="needs over 16777216 sites"):
+        spin_correlation_map(4098)

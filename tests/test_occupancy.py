@@ -66,6 +66,15 @@ def test_bose_explicit_mu_above_band_bottom_rejected(model):
         build_occupation_table(model, params)
 
 
+@pytest.mark.parametrize("t, z", [(0.002, 0.999), (0.005, 0.99), (0.01, 0.9)])
+def test_bose_trap_cutoff_counts_from_the_band_bottom(t, z):
+    # the fugacity's mu sits just under the bottom 1.5 spacings, so the shell
+    # cutoff must start there to keep the last shell below 1e-12
+    params = GasParameters.bose(temperature=t, fugacity=z)
+    table = build_occupation_table(HarmonicTrap(level_spacing=1 / 30), params)
+    assert table.n[:, -1].max() <= 1e-12
+
+
 def test_bose_fugacity_guard():
     params = GasParameters.bose(temperature=1.0, fugacity=0.5, field=2.0)
     with pytest.raises(DomainError):
@@ -189,7 +198,7 @@ def test_fermi_particle_hole_relation(delta, t):
 def test_sharp_trap_step():
     params = GasParameters.fermi(temperature=0.01, mu=2.0)
     table = build_occupation_table(HarmonicTrap(level_spacing=1.0), params)
-    assert len(table.energies) == 5  # shells up to 2 mu / spacing
+    assert len(table.weights) == 5  # shells up to 2 mu / spacing
     assert table.n[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert table.n[0, 1] < 1e-20
     assert np.array_equal(table.n[0], table.n[1])
@@ -219,7 +228,7 @@ def test_trap_particle_number_matches_low_t_scale():
 
 
 def test_total_number_rejects_empty_gas():
-    table = OccupationTable(np.array([1.0, 2.0]), np.ones(2), np.zeros((2, 2)))
+    table = OccupationTable(np.ones(2), np.zeros((2, 2)))
     with pytest.raises(DegenerateInputError):
         spin_sums(table, -1.0)
 
@@ -228,7 +237,7 @@ def test_total_number_rejects_empty_gas():
 def test_spin_sums_match_level_by_level_sums(eta):
     weights = [1.0, 3.0, 6.0]
     up, down = [0.9, 0.4, 0.05], [0.7, 0.2, 0.01]
-    table = OccupationTable(np.arange(3.0), np.array(weights), np.array([up, down]))
+    table = OccupationTable(np.array(weights), np.array([up, down]))
     sums = spin_sums(table, eta)
     n_up = math.fsum(w * n for w, n in zip(weights, up))
     n_down = math.fsum(w * n for w, n in zip(weights, down))
@@ -257,8 +266,8 @@ def padded_tables(draw):
         for spin in range(2):
             n[spin, i] = draw(st.lists(st.floats(1e-6, 1.0), min_size=6, max_size=6))
         alone = n[:, i, :levels].copy()
-        tables.append(OccupationTable(np.zeros(levels), np.array(w), alone))
-    return tables, OccupationTable(np.zeros((count, 6)), weights, n)
+        tables.append(OccupationTable(np.array(w), alone))
+    return tables, OccupationTable(weights, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,13 +283,13 @@ def test_stacked_spin_sums_match_each_table_bitwise(batch, eta):
 
 def test_stacked_spin_sums_reject_one_empty_table():
     n = np.array([[[0.5, 0.2], [0.0, 0.0]], [[0.4, 0.1], [0.0, 0.0]]])
-    table = OccupationTable(None, np.ones((2, 2)), n)
+    table = OccupationTable(np.ones((2, 2)), n)
     with pytest.raises(DegenerateInputError):
         spin_sums(table, -1.0)
 
 
 def test_spin_sums_reject_bad_statistics_sign():
-    table = OccupationTable(np.zeros(1), np.ones(1), np.full((2, 1), 0.5))
+    table = OccupationTable(np.ones(1), np.full((2, 1), 0.5))
     for eta in (0.0, 2.0, -0.5):
         with pytest.raises(ValueError):
             spin_sums(table, eta)

@@ -399,7 +399,7 @@ def _per_ensemble_deviations(ensembles):
             ens.statistics, 1.0 / ens.beta, mu=ens.mu, field=ens.field
         )
         n = occupancy.occupation(energies, params, occupancy.SPINS)
-        table = occupancy.OccupationTable(energies, np.ones_like(energies), n)
+        table = occupancy.OccupationTable(np.ones_like(energies), n)
         wick = collective_variances(occupancy.spin_sums(table, params.eta))
         pairs = zip(vars(exact[i].moments).values(), vars(wick).values())
         deviations.append(max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in pairs))

@@ -29,7 +29,7 @@ def table_of(n_up, n_down, weights=None):
     n = np.array((n_up, n_down), dtype=float)
     if weights is None:
         weights = np.ones(n.shape[1])
-    return OccupationTable(np.arange(n.shape[1], dtype=float), weights, n)
+    return OccupationTable(weights, n)
 
 
 def moments_of(table, eta):
