@@ -85,14 +85,6 @@ class GasParameters:
         return replace(self, mu=mu)
 
 
-@dataclass(frozen=True)
-class OccupationTable:
-    """Mean occupations per level and spin over an enumerated spectrum."""
-
-    weights: np.ndarray
-    n: np.ndarray  # (2, levels): the up row, then the down row
-
-
 def occupation(energy, params, sigma=SPIN_UP):
     """Mean occupation 1/(exp(beta(e - sigma H - mu)) - eta) of each level.
 
@@ -129,7 +121,7 @@ def occupy(x, statistics):
 
 
 def build_occupation_table(model, params):
-    """Materialize n_{alpha sigma} over the spectrum at the point ``params``.
+    """(weights, n): level weights and the (2, levels) n_{alpha sigma} at ``params``.
 
     A Bose gas given by a fugacity is enumerated at the probe mu = band bottom.
     """
@@ -139,7 +131,7 @@ def build_occupation_table(model, params):
         model, params.temperature, mu=probe_mu, field=params.field
     )
     params = params.resolved(bottom)
-    return OccupationTable(weights, occupation(energies, params, SPINS))
+    return weights, occupation(energies, params, SPINS)
 
 
 class SpinSums(NamedTuple):
@@ -154,8 +146,8 @@ class SpinSums(NamedTuple):
     exchange: float  # eta sum_a w_a n_up n_down
 
 
-def spin_sums(table, eta):
-    """SpinSums of ``table`` for statistics sign ``eta`` (-1 Fermi, +1 Bose).
+def spin_sums(weights, n, eta):
+    """SpinSums of a table (weights, n), statistics sign ``eta`` (-1 Fermi, +1 Bose).
 
     The one place a table's occupations are summed, in one (5, ..., levels)
     reduction over the last axis: batch axes in n (2, ..., levels) give array
@@ -163,8 +155,7 @@ def spin_sums(table, eta):
     """
     if eta not in (1, -1):
         raise ValueError(f"statistics sign must be +-1, got {eta}")
-    n = table.n
-    wn = table.weights * n
+    wn = weights * n
     sums = np.concatenate((wn, wn * (1.0 + eta * n), wn[:1] * n[1:])).sum(axis=-1)
     up, down, fluct_up, fluct_down, cross = sums.tolist() if sums.ndim == 1 else sums
     total = up + down
@@ -175,14 +166,8 @@ def spin_sums(table, eta):
     )
 
 
-class FieldResponse(NamedTuple):
-    polarization: float
-    slope: float  # dP/dH at fixed levels, (T, mu)
-    sums: SpinSums
-
-
 def polarization_at(model, params, field):
-    """P, dP/dH and the table's SpinSums at the given Zeeman field, fixed (T, mu).
+    """(sums, slope): the table's SpinSums and dP/dH at ``field``, fixed (T, mu).
 
     The slope is the fluctuation-dissipation sum over the same table:
     dN_sigma/dH = sigma beta sum_a w_a n (1 + eta n), which for fermions is
@@ -192,13 +177,13 @@ def polarization_at(model, params, field):
     the field solve, takes Fermi gases only.
     """
     table = build_occupation_table(model, replace(params, field=field))
-    sums = spin_sums(table, params.eta)
+    sums = spin_sums(*table, params.eta)
     f_up, f_down = sums.fluct_up, sums.fluct_down
     # P = (N_up - N_down) / N with dN_up/dH = f_up / 2T, dN_down/dH = -f_down / 2T
     slope = ((f_up + f_down) - sums.polarization * (f_up - f_down)) / (
         2.0 * params.temperature * sums.total
     )
-    return FieldResponse(sums.polarization, slope, sums)
+    return sums, slope
 
 
 P_TOLERANCE = 1e-8
@@ -214,8 +199,7 @@ def solve_field_for_polarization(model, params, p_target, start=None):
     """Zeeman field H >= 0 with |P(H) - p_target| < P_TOLERANCE, and its sums.
 
     Returns (H, sums), the SpinSums of the last P evaluation's table, so the
-    caller needs no second build or reduction; p_target = 0 gives H = 0 and
-    the sums there without a search.  Newton on the slope from
+    caller needs no second build or reduction.  Newton on the slope from
     ``polarization_at``, safeguarded by a bracket as in ``rtsafe`` (Numerical
     Recipes 9.4): it starts from ``start`` when that is positive and finite,
     else from H = 2T artanh(p_target), exact in the non-degenerate limit, and
@@ -223,23 +207,22 @@ def solve_field_for_polarization(model, params, p_target, start=None):
     H with P(0) = 0).  While hi is still open, a step grows H by at most
     ``OPEN_BRACKET_GROWTH``, and a step that does not grow it doubles H; once
     the bracket is closed, a step that leaves it is replaced by bisection.
-    Fermi statistics only.
+    p_target = 0 is one evaluation at the cold start H = 0, where P = 0
+    exactly; from a positive ``start`` it is a Newton solve to |P| <
+    P_TOLERANCE.  Fermi statistics only.
     """
     if params.statistics != "fermi":
         raise ValueError("polarization sweeps are defined for Fermi gases only")
     if not 0.0 <= p_target < 1.0:
         raise DomainError(f"target polarization must be in [0, 1), got {p_target}")
-    if p_target == 0.0:
-        table = build_occupation_table(model, replace(params, field=0.0))
-        return 0.0, spin_sums(table, params.eta)
     lo, hi = 0.0, math.inf
     if start is not None and 0.0 < start < math.inf:
         h = start
     else:
-        h = 2.0 * params.temperature * math.atanh(p_target)
+        h = 2.0 * math.atanh(p_target) * params.temperature  # 0.0 at P* = 0, any T
     for _ in range(MAX_ITERATIONS):
-        p, slope, sums = polarization_at(model, params, h)
-        residual = p - p_target
+        sums, slope = polarization_at(model, params, h)
+        residual = sums.polarization - p_target
         if abs(residual) < P_TOLERANCE:
             return h, sums
         if residual < 0.0:

@@ -121,8 +121,8 @@ def _grid_levels(model):
 
 def _continuum_levels(temperature, mu, field):
     cut = mu + abs(field) / 2.0 + 40.0 * temperature
-    if cut <= 0:
-        raise ValueError(f"energy cutoff must be positive, got {cut}")
+    if not 0 < cut < math.inf:
+        raise DomainError(f"continuum cutoff must be positive and finite, got {cut}")
     spread = 20.0 * temperature
     edges = {
         edge + d
@@ -136,7 +136,12 @@ def _continuum_levels(temperature, mu, field):
     a, b = np.sqrt(bounds[:-1, None]), np.sqrt(bounds[1:, None])
     half = 0.5 * (b - a)
     u = half * x + 0.5 * (a + b)
-    return (u * u).ravel(), (2.0 * half * w * u * u).ravel()
+    # weights head * u ~ cut^1.5 are finite below cut = 1e200; above it they
+    # overflow exactly when the exact, finite head * (u / 2^600) reaches 2^424
+    head = 2.0 * half * w * u
+    if cut > 1e200 and (head * (u * 2.0**-600)).max() >= 2.0**424:
+        raise DomainError(f"continuum quadrature weight overflows at cutoff {cut:.3g}")
+    return (u * u).ravel(), (head * u).ravel()
 
 
 def _trap_levels(model, temperature, mu, field):

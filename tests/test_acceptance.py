@@ -68,7 +68,7 @@ def test_criterion_3_trap_threshold_and_number():
     start = time.perf_counter()
     t_star = find_threshold(TRAP, 0.0, t_bracket=(0.05, 1.0))
     table = build_occupation_table(TRAP, GasParameters.fermi(0.02, 1.0))
-    n = spin_sums(table, eta=-1.0).total
+    n = spin_sums(*table, eta=-1.0).total
     elapsed = time.perf_counter() - start
     ok = abs(t_star - 0.368) <= 0.005 and 0.9e4 <= n <= 2e4
     _report(
@@ -117,7 +117,7 @@ def test_criterion_5_bose_property_suite():
         h = 0.9 * gen.uniform(0.0, 1.0) * 2.0 * t * math.log(1.0 / z)
         params = GasParameters.bose(t, z, field=h)
         table = build_occupation_table(model, params)
-        moments = collective_variances(spin_sums(table, eta=+1.0))
+        moments = collective_variances(spin_sums(*table, eta=+1.0))
         # the mean-N evaluation of the nonlinear inequalities is only
         # meaningful well above the N = 2 floor
         if moments.mean_n < 6.0:

@@ -237,6 +237,21 @@ def test_oversized_trap_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 0.999999])
+@pytest.mark.parametrize("t", [1e204, 1e205, 1e206, 1e300])
+def test_hot_continuum_exit_code(t, p, tmp_path, capsys):
+    # the quadrature weights grow as cut^1.5 with the cut ~ 40 T + H / 2; past
+    # the largest double they are refused before numpy overflows (an overflow
+    # warning is an error here, so it would end the run with a traceback)
+    out = tmp_path / "hot.csv"
+    job = f"workflow = freespace\nt_grid = {t}\np_grid = {p}\nout = {out}\n"
+    refused = t >= 1e206 or (t == 1e205 and p == 0.999999)
+    assert run_cli(tmp_path, job) == (cli.EXIT_DOMAIN if refused else cli.EXIT_OK)
+    err = capsys.readouterr().err
+    assert ("continuum quadrature weight overflows" in err) == refused
+    assert out.exists() != refused
+
+
 def test_cold_lattice_exit_code(tmp_path):
     out = tmp_path / "cold.csv"
     job = f"workflow = lattice\nlattice_size = 64\nt_over_j = 1e-9\nout = {out}\n"

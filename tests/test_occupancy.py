@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from singletgas.occupancy import (
     DomainError,
     GasParameters,
     NoConvergence,
-    OccupationTable,
     build_occupation_table,
     occupation,
     solve_field_for_polarization,
@@ -72,7 +73,7 @@ def test_bose_trap_cutoff_counts_from_the_band_bottom(t, z):
     # cutoff must start there to keep the last shell below 1e-12
     params = GasParameters.bose(temperature=t, fugacity=z)
     table = build_occupation_table(HarmonicTrap(level_spacing=1 / 30), params)
-    assert table.n[:, -1].max() <= 1e-12
+    assert table[1][:, -1].max() <= 1e-12
 
 
 def test_bose_fugacity_guard():
@@ -91,7 +92,7 @@ def test_bose_continuum_number_matches_polylog(z, expected):
     #      = Gamma(3/2) T^{3/2} Li_{3/2}(z), with the DOS prefactor set to 1
     params = GasParameters.bose(temperature=1.0, fugacity=z)
     table = build_occupation_table(FreeSpaceContinuum(), params)
-    assert spin_sums(table, params.eta).up == pytest.approx(expected, rel=1e-8)
+    assert spin_sums(*table, params.eta).up == pytest.approx(expected, rel=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +109,7 @@ def test_fermi_continuum_number_matches_polylog(t, expected):
     # N_up = int_0^inf sqrt(e) de / (exp((e - mu) / T) + 1) at mu = 1
     params = GasParameters.fermi(temperature=t, mu=1.0)
     table = build_occupation_table(FreeSpaceContinuum(), params)
-    assert spin_sums(table, params.eta).up == pytest.approx(expected, rel=1e-10)
+    assert spin_sums(*table, params.eta).up == pytest.approx(expected, rel=1e-10)
 
 
 def test_saturation_guards():
@@ -198,17 +199,17 @@ def test_fermi_particle_hole_relation(delta, t):
 def test_sharp_trap_step():
     params = GasParameters.fermi(temperature=0.01, mu=2.0)
     table = build_occupation_table(HarmonicTrap(level_spacing=1.0), params)
-    assert len(table.weights) == 5  # shells up to 2 mu / spacing
-    assert table.n[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert table.n[0, 1] < 1e-20
-    assert np.array_equal(table.n[0], table.n[1])
+    assert len(table[0]) == 5  # shells up to 2 mu / spacing
+    assert table[1][0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert table[1][0, 1] < 1e-20
+    assert np.array_equal(table[1][0], table[1][1])
 
 
 def test_balanced_columns_equal_without_field():
     params = GasParameters.fermi(temperature=0.4, mu=1.0)
     table = build_occupation_table(FreeSpaceGrid(half_width=8), params)
-    assert np.array_equal(table.n[0], table.n[1])
-    assert spin_sums(table, params.eta).polarization == 0.0
+    assert np.array_equal(table[1][0], table[1][1])
+    assert spin_sums(*table, params.eta).polarization == 0.0
 
 
 def test_sommerfeld_number_ratio():
@@ -216,7 +217,7 @@ def test_sommerfeld_number_ratio():
     # number is 2 * (2/3) mu^(3/2) for the unit-normalized sqrt(e) DOS
     params = GasParameters.fermi(temperature=0.2, mu=1.0)
     table = build_occupation_table(FreeSpaceContinuum(), params)
-    ratio = spin_sums(table, params.eta).total / (4.0 / 3.0)
+    ratio = spin_sums(*table, params.eta).total / (4.0 / 3.0)
     assert ratio > 1.0
     assert ratio == pytest.approx(1.0 + np.pi**2 / 8 * 0.04, abs=5e-3)
 
@@ -224,21 +225,19 @@ def test_sommerfeld_number_ratio():
 def test_trap_particle_number_matches_low_t_scale():
     params = GasParameters.fermi(temperature=0.02, mu=1.0)
     table = build_occupation_table(HarmonicTrap(level_spacing=1 / 30), params)
-    assert 0.9e4 <= spin_sums(table, params.eta).total <= 2e4
+    assert 0.9e4 <= spin_sums(*table, params.eta).total <= 2e4
 
 
 def test_total_number_rejects_empty_gas():
-    table = OccupationTable(np.ones(2), np.zeros((2, 2)))
     with pytest.raises(DegenerateInputError):
-        spin_sums(table, -1.0)
+        spin_sums(np.ones(2), np.zeros((2, 2)), -1.0)
 
 
 @pytest.mark.parametrize("eta", [-1.0, 1.0])
 def test_spin_sums_match_level_by_level_sums(eta):
     weights = [1.0, 3.0, 6.0]
     up, down = [0.9, 0.4, 0.05], [0.7, 0.2, 0.01]
-    table = OccupationTable(np.array(weights), np.array([up, down]))
-    sums = spin_sums(table, eta)
+    sums = spin_sums(np.array(weights), np.array([up, down]), eta)
     n_up = math.fsum(w * n for w, n in zip(weights, up))
     n_down = math.fsum(w * n for w, n in zip(weights, down))
     assert sums.up == pytest.approx(n_up, rel=1e-15)
@@ -266,8 +265,8 @@ def padded_tables(draw):
         for spin in range(2):
             n[spin, i] = draw(st.lists(st.floats(1e-6, 1.0), min_size=6, max_size=6))
         alone = n[:, i, :levels].copy()
-        tables.append(OccupationTable(np.array(w), alone))
-    return tables, OccupationTable(weights, n)
+        tables.append((np.array(w), alone))
+    return tables, (weights, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,30 +276,28 @@ def test_stacked_spin_sums_match_each_table_bitwise(batch, eta):
     # field of every table comes out bit for bit as when summed alone
     tables, stacked = batch
     for i, alone in enumerate(tables):
-        row = [float(field[i]).hex() for field in spin_sums(stacked, eta)]
-        assert row == [float(field).hex() for field in spin_sums(alone, eta)]
+        row = [float(field[i]).hex() for field in spin_sums(*stacked, eta)]
+        assert row == [float(field).hex() for field in spin_sums(*alone, eta)]
 
 
 def test_stacked_spin_sums_reject_one_empty_table():
     n = np.array([[[0.5, 0.2], [0.0, 0.0]], [[0.4, 0.1], [0.0, 0.0]]])
-    table = OccupationTable(np.ones((2, 2)), n)
     with pytest.raises(DegenerateInputError):
-        spin_sums(table, -1.0)
+        spin_sums(np.ones((2, 2)), n, -1.0)
 
 
 def test_spin_sums_reject_bad_statistics_sign():
-    table = OccupationTable(np.ones(1), np.full((2, 1), 0.5))
     for eta in (0.0, 2.0, -0.5):
         with pytest.raises(ValueError):
-            spin_sums(table, eta)
+            spin_sums(np.ones(1), np.full((2, 1), 0.5), eta)
 
 
 def test_polarized_limit():
     # field so large the down branch is empty
     params = GasParameters.fermi(temperature=0.05, mu=1.0, field=30.0)
     table = build_occupation_table(HarmonicTrap(level_spacing=1.0), params)
-    assert table.n[1, 0] < 1e-100  # lowest down level e + H/2 = 16.5, mu = 1
-    assert spin_sums(table, params.eta).polarization == pytest.approx(1.0, abs=1e-10)
+    assert table[1][1, 0] < 1e-100  # lowest down level e + H/2 = 16.5, mu = 1
+    assert spin_sums(*table, params.eta).polarization == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -311,7 +308,7 @@ def test_polarized_limit():
 def test_field_reversal_swaps_spins(model):
     def numbers(field):
         params = GasParameters.fermi(temperature=0.02, mu=1.0, field=field)
-        return spin_sums(build_occupation_table(model, params), params.eta)
+        return spin_sums(*build_occupation_table(model, params), params.eta)
 
     up, down = numbers(2.0), numbers(-2.0)
     assert down.total == pytest.approx(up.total, rel=1e-12)
@@ -322,7 +319,8 @@ def test_polarization_monotone_in_field():
     params = GasParameters.fermi(temperature=0.2, mu=1.0)
     model = FreeSpaceContinuum()
     ladder = [
-        occupancy.polarization_at(model, params, h).polarization for h in np.linspace(0, 4, 9)
+        occupancy.polarization_at(model, params, h)[0].polarization
+        for h in np.linspace(0, 4, 9)
     ]
     assert ladder[0] == 0.0
     assert all(b >= a for a, b in zip(ladder, ladder[1:]))
@@ -345,7 +343,7 @@ def test_solve_field_agrees_with_dense_scan():
     model = FreeSpaceContinuum()
     h, _ = solve_field_for_polarization(model, params, 0.5)
     grid = np.linspace(0.0, 2.0, 10001)
-    p_of_h = [occupancy.polarization_at(model, params, x).polarization for x in grid]
+    p_of_h = [occupancy.polarization_at(model, params, x)[0].polarization for x in grid]
     assert h == pytest.approx(np.interp(0.5, p_of_h, grid), abs=1e-6)
 
 
@@ -373,17 +371,17 @@ def test_solve_field_evaluation_count(model, monkeypatch):
             evals.clear()
             h, sums = solve_field_for_polarization(model, params, p)
             counts.append(len(evals))
-            assert abs(polarization_at(model, params, h).polarization - p) < P_TOLERANCE
+            assert abs(polarization_at(model, params, h)[0].polarization - p) < P_TOLERANCE
             assert abs(sums.polarization - p) < P_TOLERANCE
     assert np.mean(counts) <= 5.0
 
 
 def slope_and_central_difference(model, params, h, step=1e-5):
     def p_of(field):
-        return occupancy.polarization_at(model, params, field).polarization
+        return occupancy.polarization_at(model, params, field)[0].polarization
 
     central = (p_of(h + step) - p_of(h - step)) / (2.0 * step)
-    return occupancy.polarization_at(model, params, h).slope, central
+    return occupancy.polarization_at(model, params, h)[1], central
 
 
 @pytest.mark.parametrize(
@@ -408,7 +406,7 @@ def fake_polarization(monkeypatch, p_of, slope_of):
 
     def fake(model, params, field):
         fields.append(field)
-        return occupancy.FieldResponse(p_of(field), slope_of(field), None)
+        return SimpleNamespace(polarization=p_of(field)), slope_of(field)
 
     monkeypatch.setattr(occupancy, "polarization_at", fake)
     return fields
@@ -455,6 +453,36 @@ def test_solve_field_warm_start_at_root_takes_one_evaluation(monkeypatch):
     h, sums = solve_field_for_polarization(model, params, 0.5, start=h_root)
     assert fields == [h_root] and h == h_root
     assert abs(sums.polarization - 0.5) < P_TOLERANCE
+
+
+@pytest.mark.parametrize(
+    "model",
+    [FreeSpaceContinuum(), FreeSpaceGrid(), HarmonicTrap()],
+    ids=["continuum", "grid", "trap"],
+)
+def test_solve_field_zero_target_is_one_evaluation_at_zero_field(model, monkeypatch):
+    # the cold start 2T artanh(0) is H = 0, where both spin rows are equal
+    # and P = 0 exactly, so the first evaluation ends the solve
+    params = GasParameters.fermi(temperature=0.3)
+    fields = []
+    polarization_at = occupancy.polarization_at
+
+    def counted(*args):
+        fields.append(args[2])
+        return polarization_at(*args)
+
+    monkeypatch.setattr(occupancy, "polarization_at", counted)
+    h, sums = solve_field_for_polarization(model, params, 0.0)
+    assert fields == [0.0] and h == 0.0 and sums.polarization == 0.0
+    table = build_occupation_table(model, replace(params, field=0.0))
+    want = spin_sums(*table, -1.0)
+    assert [float(x).hex() for x in sums] == [float(x).hex() for x in want]
+
+
+def test_solve_field_zero_target_follows_a_positive_start():
+    params = GasParameters.fermi(temperature=0.3)
+    h, sums = solve_field_for_polarization(HarmonicTrap(), params, 0.0, start=0.4)
+    assert 0.0 <= h < 0.4 and abs(sums.polarization) < P_TOLERANCE
 
 
 @pytest.mark.parametrize("start", [None, math.nan, 0.0, -0.3, math.inf])
@@ -526,7 +554,7 @@ def test_build_table_is_deterministic():
     params = GasParameters.bose(temperature=0.7, fugacity=0.6, field=0.1)
     a = build_occupation_table(FreeSpaceGrid(half_width=6), params)
     b = build_occupation_table(FreeSpaceGrid(half_width=6), params)
-    assert np.array_equal(a.n, b.n)
+    assert np.array_equal(a[1], b[1])
 
 
 @settings(max_examples=50)
@@ -538,5 +566,5 @@ def test_bose_occupations_positive_and_finite(z, t):
     h = 0.5 * t * math.log(1.0 / z)  # safely inside the fugacity guard
     params = GasParameters.bose(temperature=t, fugacity=z, field=h)
     table = build_occupation_table(HarmonicTrap(level_spacing=1 / 10), params)
-    for col in table.n:
+    for col in table[1]:
         assert np.all(col > 0.0) and np.all(np.isfinite(col))

@@ -399,8 +399,9 @@ def _per_ensemble_deviations(ensembles):
             ens.statistics, 1.0 / ens.beta, mu=ens.mu, field=ens.field
         )
         n = occupancy.occupation(energies, params, occupancy.SPINS)
-        table = occupancy.OccupationTable(np.ones_like(energies), n)
-        wick = collective_variances(occupancy.spin_sums(table, params.eta))
+        wick = collective_variances(
+            occupancy.spin_sums(np.ones_like(energies), n, params.eta)
+        )
         pairs = zip(vars(exact[i].moments).values(), vars(wick).values())
         deviations.append(max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in pairs))
     return deviations

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from singletgas import spectra
 from singletgas.spectra import (
@@ -154,6 +154,30 @@ def test_continuum_window_follows_point():
     assert np.count_nonzero(energies < 1.5) == 64
     assert np.count_nonzero(energies < 10.5) == 96
     assert weights.sum() == pytest.approx(2 / 3 * 21.5**1.5, rel=1e-4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent=st.floats(204.0, 206.5), h_over_t=st.floats(0.0, 20.0))
+def test_continuum_weights_refused_exactly_where_they_overflow(exponent, h_over_t):
+    # T, mu and H scaled by 2^-256 scale every weight by 2^-384 exactly, so
+    # the scaled weights reach 2^640 just where the true ones would overflow
+    t, s = 10.0**exponent, 2.0**-256
+    _, scaled = enumerate_levels(FreeSpaceContinuum(), t * s, mu=s, field=h_over_t * t * s)
+    try:
+        _, weights = enumerate_levels(FreeSpaceContinuum(), t, field=h_over_t * t)
+    except DomainError as err:
+        assert "continuum quadrature weight overflows" in str(err)
+        assert scaled.max() >= 2.0**640
+    else:
+        assert scaled.max() < 2.0**640
+        assert np.array_equal(weights * 2.0**-384, scaled)
+
+
+@pytest.mark.parametrize("temperature", [4.5e306, 1e308])
+def test_continuum_infinite_cutoff_refused(temperature):
+    # 40 T overflows to +inf; refused before any panel is built
+    with pytest.raises(DomainError, match="continuum cutoff must be positive and finite"):
+        enumerate_levels(FreeSpaceContinuum(), temperature)
 
 
 def test_deterministic_ordering():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from singletgas import occupancy, spinmoments
 from singletgas.occupancy import (
     GasParameters,
-    OccupationTable,
     build_occupation_table,
     spin_sums,
 )
@@ -29,11 +28,11 @@ def table_of(n_up, n_down, weights=None):
     n = np.array((n_up, n_down), dtype=float)
     if weights is None:
         weights = np.ones(n.shape[1])
-    return OccupationTable(weights, n)
+    return weights, n
 
 
 def moments_of(table, eta):
-    return collective_variances(spin_sums(table, eta))
+    return collective_variances(spin_sums(*table, eta))
 
 
 def test_single_fermi_level_half_filled():
@@ -232,8 +231,8 @@ def test_sweep_errors_name_the_grid_point():
 def test_moments_at_builds_one_table_per_p_evaluation(model, monkeypatch):
     # the field solve's last table is the one the moments come from: one
     # table and one reduction per P evaluation, no rebuild or second
-    # reduction after the solve (only the formula), and one table at H = 0
-    # when P* = 0
+    # reduction after the solve (only the formula), and one P evaluation at
+    # H = 0 when P* = 0
     calls = []
 
     def counting(module, name):
@@ -251,7 +250,12 @@ def test_moments_at_builds_one_table_per_p_evaluation(model, monkeypatch):
     counting(spinmoments, "collective_variances")
     field, moments = moments_at(model, 0.3, 0.0)
     assert field == 0.0
-    assert calls == ["build_occupation_table", "spin_sums", "collective_variances"]
+    assert calls == [
+        "polarization_at",
+        "build_occupation_table",
+        "spin_sums",
+        "collective_variances",
+    ]
     for p in (0.2, 0.6):
         calls.clear()
         field, moments = moments_at(model, 0.3, p)
@@ -411,11 +415,6 @@ def test_threshold_solves_start_from_the_secant_field(monkeypatch):
     assert len(starts) > 2 and all(s > 0.0 for s in starts[2:])
 
 
-def test_free_space_threshold():
-    t_star = find_threshold(FreeSpaceContinuum(), 0.0)
-    assert t_star == pytest.approx(1.12, abs=0.02)
-
-
 def test_free_space_threshold_pinned_polylog():
     # root of (3/2) Li_{1/2}(-e^{1/T}) / Li_{3/2}(-e^{1/T}) = 1, from
     # 30-digit mpmath
@@ -462,7 +461,7 @@ CONTINUUM_POLYLOG_MOMENTS = {  # (T, H): (<N>, P, Var Jx, Var Jz)
 def test_continuum_moments_match_polylogs(t, h):
     mean_n, p, var_jx, var_jz = CONTINUUM_POLYLOG_MOMENTS[t, h]
     params = GasParameters.fermi(t, mu=1.0, field=h)
-    sums = spin_sums(build_occupation_table(FreeSpaceContinuum(), params), -1.0)
+    sums = spin_sums(*build_occupation_table(FreeSpaceContinuum(), params), -1.0)
     moments = collective_variances(sums)
     assert sums.polarization == pytest.approx(p, rel=0.0, abs=1e-13)
     for got, want in (
@@ -490,12 +489,6 @@ def test_trap_threshold_converges_to_thomas_fermi_root():
         assert (TRAP_THOMAS_FERMI_T_STAR - t) * r**2 == pytest.approx(0.1537, abs=5e-4)
     extrapolated = (4.0 * t_star[240] - t_star[120]) / 3.0
     assert abs(extrapolated - TRAP_THOMAS_FERMI_T_STAR) < 1e-8
-
-
-def test_threshold_shrinks_with_polarization():
-    t0 = find_threshold(FreeSpaceContinuum(), 0.0)
-    t_half = find_threshold(FreeSpaceContinuum(), 0.5)
-    assert t_half < t0
 
 
 def test_threshold_needs_sign_change():
