@@ -1,4 +1,4 @@
-"""Bose-Einstein / Fermi-Dirac occupations, their spin sums, field solver."""
+"""Bose-Einstein / Fermi-Dirac occupations, their spin moments, field solver."""
 
 from __future__ import annotations
 
@@ -29,31 +29,24 @@ class NoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class GasParameters:
-    """Thermodynamic control knobs of an ideal spin-1/2 gas.
+    """Thermodynamic point (statistics, T, mu, H) of an ideal spin-1/2 gas.
 
-    ``statistics`` is "fermi" or "bose".  Fermi gases carry an explicit
-    chemical potential; Bose gases are specified by a fugacity
-    z = exp(beta * mu_tilde) with mu_tilde measured from the band bottom,
-    resolved to a chemical potential once a spectrum is known.
+    ``statistics`` is "fermi" or "bose"; T, mu and H must be finite.
     """
 
     statistics: str
     temperature: float
-    mu: float | None = None
-    fugacity: float | None = None
+    mu: float
     field: float = 0.0
 
     def __post_init__(self):
         if self.statistics not in ("fermi", "bose"):
             raise ValueError(f"unknown statistics {self.statistics!r}")
-        if self.temperature <= 0:
-            raise DomainError(f"temperature must be positive, got {self.temperature}")
-        if self.statistics == "fermi" and self.mu is None:
-            raise ValueError("Fermi parameters need a chemical potential")
-        if self.statistics == "bose" and self.mu is None and self.fugacity is None:
-            raise ValueError("Bose parameters need a fugacity (or explicit mu)")
-        if self.fugacity is not None and self.fugacity <= 0:
-            raise DomainError(f"fugacity must be positive, got {self.fugacity}")
+        t, mu, h = self.temperature, self.mu, self.field
+        if not (math.isfinite(t) and math.isfinite(mu) and math.isfinite(h)):
+            raise DomainError(f"T, mu and H must be finite, got {t}, {mu}, {h}")
+        if t <= 0:
+            raise DomainError(f"temperature must be positive, got {t}")
 
     @property
     def eta(self):
@@ -61,28 +54,26 @@ class GasParameters:
 
     @classmethod
     def fermi(cls, temperature, mu=1.0, field=0.0):
-        return cls("fermi", temperature, mu=mu, field=field)
+        return cls("fermi", temperature, mu, field)
 
     @classmethod
-    def bose(cls, temperature, fugacity, field=0.0):
-        return cls("bose", temperature, fugacity=fugacity, field=field)
+    def bose(cls, model, temperature, fugacity, field=0.0):
+        """Bose gas at mu = band bottom + T ln z (``spectra.band_bottom``).
 
-    def resolved(self, bottom):
-        """Turn a fugacity-specified Bose gas into one with an explicit mu.
-
-        Rejects parameters whose most populated spin branch would reach or
-        exceed ``bottom`` (``spectra.band_bottom``), at a relative margin 1e-12.
+        Rejects z <= 0 or NaN, and parameters whose most populated spin branch
+        would reach or exceed the band bottom, at a relative margin 1e-12.
         """
-        if self.mu is not None:
-            return self
-        mu = bottom + self.temperature * math.log(self.fugacity)
-        top = mu + abs(self.field) / 2.0
+        if not fugacity > 0:
+            raise DomainError(f"fugacity must be positive, got {fugacity}")
+        bottom = spectra.band_bottom(model)
+        mu = bottom + temperature * math.log(fugacity)
+        top = mu + abs(field) / 2.0
         if top > bottom - BOSE_MARGIN * max(1.0, abs(bottom)) - \
-                BOSE_MARGIN * self.temperature:
+                BOSE_MARGIN * temperature:
             raise DomainError(
                 f"Bose branch chemical potential {top} reaches band bottom {bottom}"
             )
-        return replace(self, mu=mu)
+        return cls("bose", temperature, mu, field)
 
 
 def occupation(energy, params, sigma=SPIN_UP):
@@ -91,8 +82,6 @@ def occupation(energy, params, sigma=SPIN_UP):
     ``sigma`` may be an array that broadcasts against the energies (a (2, 1)
     column gives both spins in one pass).  See :func:`occupy` for the kernel.
     """
-    if params.mu is None:
-        raise ValueError("unresolved Bose parameters; call params.resolved(bottom)")
     x = np.asarray(
         (np.asarray(energy, dtype=float) - sigma * params.field - params.mu)
         / params.temperature
@@ -121,37 +110,42 @@ def occupy(x, statistics):
 
 
 def build_occupation_table(model, params):
-    """(weights, n): level weights and the (2, levels) n_{alpha sigma} at ``params``.
-
-    A Bose gas given by a fugacity is enumerated at the probe mu = band bottom.
-    """
-    bottom = spectra.band_bottom(model)
-    probe_mu = params.mu if params.mu is not None else bottom
+    """(weights, n): level weights and the (2, levels) n_{alpha sigma} at ``params``."""
     energies, weights = spectra.enumerate_levels(
-        model, params.temperature, mu=probe_mu, field=params.field
+        model, params.temperature, mu=params.mu, field=params.field
     )
-    params = params.resolved(bottom)
     return weights, occupation(energies, params, SPINS)
 
 
-class SpinSums(NamedTuple):
-    """The weighted sums over a table that every spin moment is built from."""
+class SpinMoments(NamedTuple):
+    """First and second moments of the collective spin of the ensemble.
 
-    total: float
-    up: float
-    down: float
-    polarization: float
-    fluct_up: float  # F_up = sum_a w_a n_up (1 + eta n_up)
-    fluct_down: float
-    exchange: float  # eta sum_a w_a n_up n_down
+    Every state built here, the gas in a field along z and each oracle
+    ensemble, is invariant under rotations about z: <Jx> = <Jy> = 0 and
+    Var(Jy) = Var(Jx), so one transverse variance stands for both.
+    ``cov_njz`` is Cov(N, Jz), which equals T d<N>/dH at fixed (T, mu).
+    """
+
+    mean_n: float
+    mean_jz: float
+    var_jx: float
+    var_jz: float
+    cov_njz: float
+
+    @property
+    def polarization(self):
+        return 2.0 * self.mean_jz / self.mean_n
 
 
-def spin_sums(weights, n, eta):
-    """SpinSums of a table (weights, n), statistics sign ``eta`` (-1 Fermi, +1 Bose).
+def spin_moments(weights, n, eta):
+    """SpinMoments of a table (weights, n), statistics sign ``eta`` (-1 Fermi, +1 Bose).
 
     The one place a table's occupations are summed, in one (5, ..., levels)
     reduction over the last axis: batch axes in n (2, ..., levels) give array
-    fields.  Zero total number is a DegenerateInputError.
+    fields.  With F_sigma = sum_a w_a n_sigma (1 + eta n_sigma) and the
+    exchange sum X = eta sum_a w_a n_up n_down: Var(Jz) = (F_up + F_down) / 4,
+    Cov(N, Jz) = (F_up - F_down) / 2 and Var(Jx) = Var(Jy) = <N>/4 + X/2.
+    Zero total number is a DegenerateInputError.
     """
     if eta not in (1, -1):
         raise ValueError(f"statistics sign must be +-1, got {eta}")
@@ -161,29 +155,32 @@ def spin_sums(weights, n, eta):
     total = up + down
     if (total <= 0) if sums.ndim == 1 else (total <= 0).any():
         raise DegenerateInputError("zero total particle number, polarization undefined")
-    return SpinSums(
-        total, up, down, (up - down) / total, fluct_up, fluct_down, eta * cross
+    return SpinMoments(
+        total,
+        0.5 * (up - down),
+        total / 4.0 + eta * cross / 2.0,
+        (fluct_up + fluct_down) / 4.0,
+        (fluct_up - fluct_down) / 2.0,
     )
 
 
 def polarization_at(model, params, field):
-    """(sums, slope): the table's SpinSums and dP/dH at ``field``, fixed (T, mu).
+    """(moments, slope): the table's SpinMoments and dP/dH at ``field``, fixed (T, mu).
 
     The slope is the fluctuation-dissipation sum over the same table:
-    dN_sigma/dH = sigma beta sum_a w_a n (1 + eta n), which for fermions is
-    sigma beta sum_a w_a n_sigma (1 - n_sigma).  It holds the levels fixed, so
-    where they move with H (the continuum's panel edges) it is the slope of
-    the quadrature at this point's nodes, not of P(H) itself.  Its one user,
-    the field solve, takes Fermi gases only.
+    d<N>/dH = Cov(N, Jz) / T and d<Jz>/dH = Var(Jz) / T.  It holds the
+    levels fixed, so where they move with H (the continuum's panel edges) it
+    is the slope of the quadrature at this point's nodes, not of P(H) itself.
+    Its one user, the field solve, takes Fermi gases only.
     """
     table = build_occupation_table(model, replace(params, field=field))
-    sums = spin_sums(*table, params.eta)
-    f_up, f_down = sums.fluct_up, sums.fluct_down
-    # P = (N_up - N_down) / N with dN_up/dH = f_up / 2T, dN_down/dH = -f_down / 2T
-    slope = ((f_up + f_down) - sums.polarization * (f_up - f_down)) / (
-        2.0 * params.temperature * sums.total
+    m = spin_moments(*table, params.eta)
+    # P = 2 <Jz> / <N>, so dP/dH = (2 Var(Jz) - P Cov(N, Jz)) / (T <N>); the
+    # factors 4 and 2 give back the sums F_up +- F_down without rounding
+    slope = (4.0 * m.var_jz - m.polarization * (2.0 * m.cov_njz)) / (
+        2.0 * params.temperature * m.mean_n
     )
-    return sums, slope
+    return m, slope
 
 
 P_TOLERANCE = 1e-8
@@ -196,10 +193,10 @@ OPEN_BRACKET_GROWTH = 16.0
 
 
 def solve_field_for_polarization(model, params, p_target, start=None):
-    """Zeeman field H >= 0 with |P(H) - p_target| < P_TOLERANCE, and its sums.
+    """Zeeman field H >= 0 with |P(H) - p_target| < P_TOLERANCE, and its moments.
 
-    Returns (H, sums), the SpinSums of the last P evaluation's table, so the
-    caller needs no second build or reduction.  Newton on the slope from
+    Returns (H, moments), the SpinMoments of the last P evaluation's table,
+    so the caller needs no second build or reduction.  Newton on the slope from
     ``polarization_at``, safeguarded by a bracket as in ``rtsafe`` (Numerical
     Recipes 9.4): it starts from ``start`` when that is positive and finite,
     else from H = 2T artanh(p_target), exact in the non-degenerate limit, and
@@ -221,10 +218,10 @@ def solve_field_for_polarization(model, params, p_target, start=None):
     else:
         h = 2.0 * math.atanh(p_target) * params.temperature  # 0.0 at P* = 0, any T
     for _ in range(MAX_ITERATIONS):
-        sums, slope = polarization_at(model, params, h)
-        residual = sums.polarization - p_target
+        moments, slope = polarization_at(model, params, h)
+        residual = moments.polarization - p_target
         if abs(residual) < P_TOLERANCE:
-            return h, sums
+            return h, moments
         if residual < 0.0:
             lo = h
         else:

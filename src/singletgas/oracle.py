@@ -16,7 +16,7 @@ per-mode element (n_up + n_dn + 2 eta n_up n_dn) / 4 sums to N / 4 plus
 one product term per mode, each again a pair of convolutions with that
 mode's factor weighted by its occupation.  No pair of operators is
 contracted (no Wick factorization), so agreement with
-``spinmoments.collective_variances`` is a genuine check.
+``occupancy.spin_moments`` is a genuine check.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import occupancy, spinmoments
-from .occupancy import DegenerateInputError, DomainError, NoConvergence
-from .spinmoments import Inequalities, SpinMoments, tightest_permutations
+from . import occupancy
+from .occupancy import DegenerateInputError, DomainError, NoConvergence, SpinMoments
+from .spinmoments import Inequalities, tightest_permutations
 
 MAX_FERMI_MODES = 6
 MAX_BOSE_MODES = 4
@@ -164,8 +164,8 @@ def _exact_table(ensembles, cut):
     for j in range(modes):
         fj = f[:, :, j, None]
         spin = _convolve_rows(spin, np.where(marks == j, occ * fj, fj))
-    # over the sectors of each N: the weight and the weighted Jz, Jz^2 and
-    # (Jx)^2, whose per-mode products pair marked rows (module notes); the
+    # over the sectors of each N: the weight and the weighted Jz, Jz^2, N Jz
+    # and (Jx)^2, whose per-mode products pair marked rows (module notes); the
     # six spin-product pairs carry (n_up, n_dn) powers 00 10 01 20 11 02
     n_spin = np.arange(spin.shape[-1])
     powers = np.array([[0, 1, 0, 2, 1, 0], [0, 0, 1, 0, 1, 2]])[..., None]
@@ -174,6 +174,7 @@ def _exact_table(ensembles, cut):
     w, up_n, dn_n, up_n2, cross, dn_n2, *jx = np.moveaxis(terms, 1, 0)
     n = np.arange(w.shape[-1], dtype=float)
     jz, jz2 = 0.5 * (up_n - dn_n), 0.25 * (up_n2 - 2.0 * cross + dn_n2)
+    njz = 0.5 * (up_n2 - dn_n2)  # N Jz = (n_up^2 - n_dn^2) / 2
     eta = -1.0 if ensembles[0].statistics == "fermi" else 1.0
     jx2 = 0.25 * n * w + 0.5 * eta * sum(jx)
 
@@ -184,8 +185,10 @@ def _exact_table(ensembles, cut):
         raise DegenerateInputError(f"no weight on the N >= 2 sectors of {empty!r}")
     columns = []
     for lo in (0, 2):  # every sector, then N >= 2; Var Jx = <(Jx)^2> as <Jx> = 0
-        z, *s = (v[:, lo:].sum(axis=-1) for v in (w, w * n, jz, jx2, jz2))
-        columns += [s[0] / z, s[1] / z, s[2] / z, s[3] / z - (s[1] / z) ** 2]
+        z, *s = (v[:, lo:].sum(axis=-1) for v in (w, w * n, jz, jx2, jz2, njz))
+        mean_n, mean_jz = s[0] / z, s[1] / z
+        columns += [mean_n, mean_jz, s[2] / z, s[3] / z - mean_jz**2]
+        columns.append(s[4] / z - mean_n * mean_jz)
     inv = 1.0 / (n2 - 1.0)
     columns += [
         (jx2[:, 2:] * inv).sum(axis=-1) / z2,
@@ -201,10 +204,10 @@ def _exact_reports(ensembles, cut):
     """ExactReport of each ensemble, from the rows of :func:`_exact_table`."""
     return [
         ExactReport(
-            SpinMoments(*row[:4]),
-            SpinMoments(*row[4:8]),
-            row[12],
-            tightest_permutations(row[4], row[6], row[7], *row[8:12], "exact"),
+            SpinMoments(*row[:5]),
+            SpinMoments(*row[5:10]),
+            row[14],
+            tightest_permutations(row[5], row[7], row[8], *row[10:14], "exact"),
             cut,
         )
         for row in _exact_table(ensembles, cut).tolist()
@@ -225,13 +228,12 @@ def _closed_forms(ensembles):
     x = (eps - occupancy.SPINS[..., None] * h - mu) / (1.0 / beta)
     n = occupancy.occupy(x, ensembles[0].statistics)
     eta = -1.0 if ensembles[0].statistics == "fermi" else 1.0
-    sums = occupancy.spin_sums(np.isfinite(eps) * 1.0, n, eta)
-    return spinmoments.collective_variances(sums)
+    return occupancy.spin_moments(np.isfinite(eps) * 1.0, n, eta)
 
 
 def closed_form_moments(ens):
     """Wick-route moments of a few-mode ensemble, for oracle comparison."""
-    return SpinMoments(*(v.item() for v in vars(_closed_forms([ens])).values()))
+    return SpinMoments(*(v.item() for v in _closed_forms([ens])))
 
 
 def oracle_deviations(ensembles):
@@ -245,7 +247,7 @@ def oracle_deviations(ensembles):
     for (_, cut), members in groups.items():
         group = [ensembles[i] for i in members]
         a = _exact_table(group, cut)[:, :4].T
-        b = np.array(list(vars(_closed_forms(group)).values()))
+        b = np.array(_closed_forms(group)[:4])
         scale = np.maximum(1.0, np.maximum(abs(a), abs(b)))
         deviations[members] = (abs(a - b) / scale).max(axis=0)
     return deviations.tolist()

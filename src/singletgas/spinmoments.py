@@ -1,4 +1,4 @@
-"""Collective-spin variances, separability witnesses, singlet fraction."""
+"""Separability witnesses of the collective-spin moments, singlet fraction."""
 
 from __future__ import annotations
 
@@ -11,21 +11,6 @@ from .occupancy import GasParameters
 
 class BracketError(ValueError):
     """Root bracket without a sign change."""
-
-
-@dataclass(frozen=True)
-class SpinMoments:
-    """First and second moments of the collective spin of the ensemble.
-
-    Every state built here, the gas in a field along z and each oracle
-    ensemble, is invariant under rotations about z: <Jx> = <Jy> = 0 and
-    Var(Jy) = Var(Jx), so one transverse variance stands for both.
-    """
-
-    mean_n: float
-    mean_jz: float
-    var_jx: float
-    var_jz: float
 
 
 @dataclass(frozen=True)
@@ -42,21 +27,6 @@ class Inequalities(NamedTuple):
     sum: InequalityCheck
     single: InequalityCheck
     pair: InequalityCheck
-
-
-def collective_variances(sums):
-    """Collective-spin moments from a table's ``occupancy.SpinSums``.
-
-    Var(Jz) = (F_up + F_down) / 4 with F_sigma = sum_a w_a n_sigma (1 + eta
-    n_sigma), and Var(Jx) = Var(Jy) = <N>/4 + X/2 with the exchange sum
-    X = eta sum_a w_a n_up n_down.
-    """
-    return SpinMoments(
-        mean_n=sums.total,
-        mean_jz=0.5 * (sums.up - sums.down),
-        var_jx=sums.total / 4.0 + sums.exchange / 2.0,
-        var_jz=(sums.fluct_up + sums.fluct_down) / 4.0,
-    )
 
 
 def xi_squared(moments):
@@ -130,22 +100,19 @@ class SweepPoint:
     temperature: float
     p_target: float
     field: float
-    moments: SpinMoments
+    moments: occupancy.SpinMoments
     singlet_fraction: float
     witnessed: bool
 
 
 def moments_at(model, temperature, p_target=0.0, start=None):
-    """(H, moments) of a Fermi gas at one (T, P) point, from the field solve's sums.
+    """(H, moments) of a Fermi gas at one (T, P) point: the field solve's result.
 
     ``start`` is the field solve's first guess (see
     ``occupancy.solve_field_for_polarization``).
     """
     params = GasParameters.fermi(temperature)
-    field, sums = occupancy.solve_field_for_polarization(
-        model, params, p_target, start
-    )
-    return field, collective_variances(sums)
+    return occupancy.solve_field_for_polarization(model, params, p_target, start)
 
 
 def singlet_fraction_sweep(model, t_grid, p_grid):

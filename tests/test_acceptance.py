@@ -9,11 +9,10 @@ import time
 import numpy as np
 
 from singletgas import cli, lattice, occupancy, oracle, spinmoments
-from singletgas.occupancy import GasParameters, build_occupation_table, spin_sums
+from singletgas.occupancy import GasParameters, build_occupation_table, spin_moments
 from singletgas.rng import Lcg64
 from singletgas.spectra import FreeSpaceContinuum, FreeSpaceGrid, HarmonicTrap
 from singletgas.spinmoments import (
-    collective_variances,
     find_threshold,
     moments_at,
     witness_report,
@@ -68,7 +67,7 @@ def test_criterion_3_trap_threshold_and_number():
     start = time.perf_counter()
     t_star = find_threshold(TRAP, 0.0, t_bracket=(0.05, 1.0))
     table = build_occupation_table(TRAP, GasParameters.fermi(0.02, 1.0))
-    n = spin_sums(*table, eta=-1.0).total
+    n = spin_moments(*table, eta=-1.0).mean_n
     elapsed = time.perf_counter() - start
     ok = abs(t_star - 0.368) <= 0.005 and 0.9e4 <= n <= 2e4
     _report(
@@ -115,9 +114,9 @@ def test_criterion_5_bose_property_suite():
         t = gen.uniform(0.3, 2.0)
         z = gen.uniform(0.2, 0.95)
         h = 0.9 * gen.uniform(0.0, 1.0) * 2.0 * t * math.log(1.0 / z)
-        params = GasParameters.bose(t, z, field=h)
+        params = GasParameters.bose(model, t, z, field=h)
         table = build_occupation_table(model, params)
-        moments = collective_variances(spin_sums(*table, eta=+1.0))
+        moments = spin_moments(*table, eta=+1.0)
         # the mean-N evaluation of the nonlinear inequalities is only
         # meaningful well above the N = 2 floor
         if moments.mean_n < 6.0:

@@ -1,4 +1,6 @@
 import json
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -363,6 +365,44 @@ def test_non_finite_output_refused(tmp_path, monkeypatch):
             assert run_cli(tmp_path, job) == cli.EXIT_DOMAIN
         assert not (tmp_path / f"nan_correlation.{fmt}").exists()
         assert not (tmp_path / f"nan_structure_factor.{fmt}").exists()
+
+
+def log_uniform(lo, hi):
+    """Floats 10^e with e uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+TEMPERATURES = log_uniform(-300, 308)
+T_BRACKETS = st.lists(TEMPERATURES, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    workflow=st.sampled_from(["freespace", "threshold", "lattice"]),
+    spectrum=st.sampled_from(["continuum", "grid", "trap"]),
+    t=TEMPERATURES,
+    p=st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.999999]),
+    mu_over_homega=log_uniform(-3, 8),
+    # half-widths 17-147 pass the patched cap, but the grid's w^4 box
+    # convolution makes a 200-step field solve there take seconds
+    half_width=st.integers(1, 16) | st.integers(148, 10**6),
+    lattice_size=(st.integers(1, 128) | st.integers(129, 2**19)).map(lambda k: 2 * k),
+    t_over_j=TEMPERATURES,
+    t_bracket=T_BRACKETS,
+)
+def test_extreme_configs_exit_with_a_documented_code(tmp_path_factory, **config):
+    # with the size cap at 2^16 every spectrum and lattice reaches its refusal
+    # at cheap sizes; whatever the point, main returns a documented status,
+    # and no exception or RuntimeWarning escapes
+    base = tmp_path_factory.getbasetemp()
+    t, p = config.pop("t"), config.pop("p")
+    job = {**config, "t_grid": [t], "p_grid": [p], "p_target": p}
+    path = base / "extreme.json"
+    path.write_text(json.dumps({**job, "out": str(base / "extreme.csv")}))
+    with mock.patch.object(spectra, "MAX_LEVELS", 2**16), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status = main(["--config", str(path)])
+    assert status in (0, 2, 3, 4, 5)
 
 
 def _reference_output(cfg, csv_head, json_head, rows_key, rows):

@@ -20,7 +20,7 @@ from singletgas.occupancy import (
     build_occupation_table,
     occupation,
     solve_field_for_polarization,
-    spin_sums,
+    spin_moments,
 )
 from singletgas.spectra import (
     FreeSpaceContinuum,
@@ -69,17 +69,41 @@ def test_bose_explicit_mu_above_band_bottom_rejected(model):
 
 @pytest.mark.parametrize("t, z", [(0.002, 0.999), (0.005, 0.99), (0.01, 0.9)])
 def test_bose_trap_cutoff_counts_from_the_band_bottom(t, z):
-    # the fugacity's mu sits just under the bottom 1.5 spacings, so the shell
-    # cutoff must start there to keep the last shell below 1e-12
-    params = GasParameters.bose(temperature=t, fugacity=z)
-    table = build_occupation_table(HarmonicTrap(level_spacing=1 / 30), params)
+    # the fugacity's mu sits just under the bottom 1.5 spacings, and the shell
+    # cutoff counted from that mu keeps the last shell below 1e-12
+    model = HarmonicTrap(level_spacing=1 / 30)
+    params = GasParameters.bose(model, temperature=t, fugacity=z)
+    table = build_occupation_table(model, params)
     assert table[1][:, -1].max() <= 1e-12
 
 
 def test_bose_fugacity_guard():
-    params = GasParameters.bose(temperature=1.0, fugacity=0.5, field=2.0)
     with pytest.raises(DomainError):
-        build_occupation_table(FreeSpaceContinuum(), params)
+        GasParameters.bose(FreeSpaceContinuum(), 1.0, fugacity=0.5, field=2.0)
+
+
+@pytest.mark.parametrize("fugacity", [0.0, -0.5, math.nan])
+def test_bose_nonpositive_fugacity_rejected(fugacity):
+    with pytest.raises(DomainError, match="fugacity must be positive"):
+        GasParameters.bose(FreeSpaceContinuum(), temperature=1.0, fugacity=fugacity)
+
+
+def test_unknown_statistics_rejected():
+    with pytest.raises(ValueError, match="unknown statistics"):
+        GasParameters("boltzmann", 1.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["temperature", "mu", "field"])
+def test_non_finite_point_rejected(name, value):
+    # a NaN passes every ordered comparison, so without the finiteness check
+    # it reaches the moments (NaN) or the trap's shell count (a bare ValueError)
+    point = {"temperature": 0.3, "mu": 1.0, "field": 0.1, name: value}
+    with pytest.raises(DomainError, match="must be finite"):
+        GasParameters("fermi", **point)
+    if name == "temperature":
+        with pytest.raises(DomainError, match="must be finite"):
+            spinmoments.moments_at(FreeSpaceGrid(half_width=4), value, 0.3)
 
 
 @pytest.mark.parametrize(
@@ -90,9 +114,10 @@ def test_bose_fugacity_guard():
 def test_bose_continuum_number_matches_polylog(z, expected):
     # N_up = int_0^inf sqrt(e) de / (exp(e / T) / z - 1)
     #      = Gamma(3/2) T^{3/2} Li_{3/2}(z), with the DOS prefactor set to 1
-    params = GasParameters.bose(temperature=1.0, fugacity=z)
+    params = GasParameters.bose(FreeSpaceContinuum(), temperature=1.0, fugacity=z)
     table = build_occupation_table(FreeSpaceContinuum(), params)
-    assert spin_sums(*table, params.eta).up == pytest.approx(expected, rel=1e-8)
+    moments = spin_moments(*table, params.eta)
+    assert moments.mean_n / 2 == pytest.approx(expected, rel=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -109,7 +134,8 @@ def test_fermi_continuum_number_matches_polylog(t, expected):
     # N_up = int_0^inf sqrt(e) de / (exp((e - mu) / T) + 1) at mu = 1
     params = GasParameters.fermi(temperature=t, mu=1.0)
     table = build_occupation_table(FreeSpaceContinuum(), params)
-    assert spin_sums(*table, params.eta).up == pytest.approx(expected, rel=1e-10)
+    moments = spin_moments(*table, params.eta)
+    assert moments.mean_n / 2 == pytest.approx(expected, rel=1e-10)
 
 
 def test_saturation_guards():
@@ -209,7 +235,7 @@ def test_balanced_columns_equal_without_field():
     params = GasParameters.fermi(temperature=0.4, mu=1.0)
     table = build_occupation_table(FreeSpaceGrid(half_width=8), params)
     assert np.array_equal(table[1][0], table[1][1])
-    assert spin_sums(*table, params.eta).polarization == 0.0
+    assert spin_moments(*table, params.eta).polarization == 0.0
 
 
 def test_sommerfeld_number_ratio():
@@ -217,7 +243,7 @@ def test_sommerfeld_number_ratio():
     # number is 2 * (2/3) mu^(3/2) for the unit-normalized sqrt(e) DOS
     params = GasParameters.fermi(temperature=0.2, mu=1.0)
     table = build_occupation_table(FreeSpaceContinuum(), params)
-    ratio = spin_sums(*table, params.eta).total / (4.0 / 3.0)
+    ratio = spin_moments(*table, params.eta).mean_n / (4.0 / 3.0)
     assert ratio > 1.0
     assert ratio == pytest.approx(1.0 + np.pi**2 / 8 * 0.04, abs=5e-3)
 
@@ -225,30 +251,34 @@ def test_sommerfeld_number_ratio():
 def test_trap_particle_number_matches_low_t_scale():
     params = GasParameters.fermi(temperature=0.02, mu=1.0)
     table = build_occupation_table(HarmonicTrap(level_spacing=1 / 30), params)
-    assert 0.9e4 <= spin_sums(*table, params.eta).total <= 2e4
+    assert 0.9e4 <= spin_moments(*table, params.eta).mean_n <= 2e4
 
 
 def test_total_number_rejects_empty_gas():
     with pytest.raises(DegenerateInputError):
-        spin_sums(np.ones(2), np.zeros((2, 2)), -1.0)
+        spin_moments(np.ones(2), np.zeros((2, 2)), -1.0)
 
 
 @pytest.mark.parametrize("eta", [-1.0, 1.0])
 def test_spin_sums_match_level_by_level_sums(eta):
     weights = [1.0, 3.0, 6.0]
     up, down = [0.9, 0.4, 0.05], [0.7, 0.2, 0.01]
-    sums = spin_sums(np.array(weights), np.array([up, down]), eta)
+    moments = spin_moments(np.array(weights), np.array([up, down]), eta)
     n_up = math.fsum(w * n for w, n in zip(weights, up))
     n_down = math.fsum(w * n for w, n in zip(weights, down))
-    assert sums.up == pytest.approx(n_up, rel=1e-15)
-    assert sums.down == pytest.approx(n_down, rel=1e-15)
-    assert sums.total == pytest.approx(n_up + n_down, rel=1e-15)
-    assert sums.polarization == pytest.approx((n_up - n_down) / (n_up + n_down), rel=1e-14)
-    for fluct, ns in ((sums.fluct_up, up), (sums.fluct_down, down)):
-        expected = math.fsum(w * n * (1.0 + eta * n) for w, n in zip(weights, ns))
-        assert fluct == pytest.approx(expected, rel=1e-15)
+    assert moments.mean_n == pytest.approx(n_up + n_down, rel=1e-15)
+    assert moments.mean_jz == pytest.approx((n_up - n_down) / 2, rel=1e-15)
+    p = (n_up - n_down) / (n_up + n_down)
+    assert moments.polarization == pytest.approx(p, rel=1e-14)
+    f_up, f_down = (
+        math.fsum(w * n * (1.0 + eta * n) for w, n in zip(weights, ns))
+        for ns in (up, down)
+    )
+    assert moments.var_jz == pytest.approx((f_up + f_down) / 4, rel=1e-15)
+    assert moments.cov_njz == pytest.approx((f_up - f_down) / 2, rel=1e-15)
     exchange = eta * math.fsum(w * u * d for w, u, d in zip(weights, up, down))
-    assert sums.exchange == pytest.approx(exchange, rel=1e-15)
+    var_jx = (n_up + n_down) / 4 + exchange / 2
+    assert moments.var_jx == pytest.approx(var_jx, rel=1e-15)
 
 
 @st.composite
@@ -276,20 +306,20 @@ def test_stacked_spin_sums_match_each_table_bitwise(batch, eta):
     # field of every table comes out bit for bit as when summed alone
     tables, stacked = batch
     for i, alone in enumerate(tables):
-        row = [float(field[i]).hex() for field in spin_sums(*stacked, eta)]
-        assert row == [float(field).hex() for field in spin_sums(*alone, eta)]
+        row = [float(field[i]).hex() for field in spin_moments(*stacked, eta)]
+        assert row == [float(field).hex() for field in spin_moments(*alone, eta)]
 
 
 def test_stacked_spin_sums_reject_one_empty_table():
     n = np.array([[[0.5, 0.2], [0.0, 0.0]], [[0.4, 0.1], [0.0, 0.0]]])
     with pytest.raises(DegenerateInputError):
-        spin_sums(np.ones((2, 2)), n, -1.0)
+        spin_moments(np.ones((2, 2)), n, -1.0)
 
 
 def test_spin_sums_reject_bad_statistics_sign():
     for eta in (0.0, 2.0, -0.5):
         with pytest.raises(ValueError):
-            spin_sums(np.ones(1), np.full((2, 1), 0.5), eta)
+            spin_moments(np.ones(1), np.full((2, 1), 0.5), eta)
 
 
 def test_polarized_limit():
@@ -297,7 +327,8 @@ def test_polarized_limit():
     params = GasParameters.fermi(temperature=0.05, mu=1.0, field=30.0)
     table = build_occupation_table(HarmonicTrap(level_spacing=1.0), params)
     assert table[1][1, 0] < 1e-100  # lowest down level e + H/2 = 16.5, mu = 1
-    assert spin_sums(*table, params.eta).polarization == pytest.approx(1.0, abs=1e-10)
+    moments = spin_moments(*table, params.eta)
+    assert moments.polarization == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -308,10 +339,10 @@ def test_polarized_limit():
 def test_field_reversal_swaps_spins(model):
     def numbers(field):
         params = GasParameters.fermi(temperature=0.02, mu=1.0, field=field)
-        return spin_sums(*build_occupation_table(model, params), params.eta)
+        return spin_moments(*build_occupation_table(model, params), params.eta)
 
     up, down = numbers(2.0), numbers(-2.0)
-    assert down.total == pytest.approx(up.total, rel=1e-12)
+    assert down.mean_n == pytest.approx(up.mean_n, rel=1e-12)
     assert down.polarization == pytest.approx(-up.polarization, rel=1e-12)
 
 
@@ -330,8 +361,8 @@ def test_polarization_monotone_in_field():
 def test_solve_field_trivial_and_monotone():
     params = GasParameters.fermi(temperature=0.01, mu=1.0)
     model = FreeSpaceContinuum()
-    h_zero, sums = solve_field_for_polarization(model, params, 0.0)
-    assert h_zero == 0.0 and sums.polarization == 0.0
+    h_zero, moments = solve_field_for_polarization(model, params, 0.0)
+    assert h_zero == 0.0 and moments.polarization == 0.0
     h_half, _ = solve_field_for_polarization(model, params, 0.5)
     h_high, _ = solve_field_for_polarization(model, params, 0.999)
     assert h_high > h_half > 0.0
@@ -369,10 +400,10 @@ def test_solve_field_evaluation_count(model, monkeypatch):
         for p in (0.1, 0.5, 0.9):
             params = GasParameters.fermi(temperature=t)
             evals.clear()
-            h, sums = solve_field_for_polarization(model, params, p)
+            h, moments = solve_field_for_polarization(model, params, p)
             counts.append(len(evals))
             assert abs(polarization_at(model, params, h)[0].polarization - p) < P_TOLERANCE
-            assert abs(sums.polarization - p) < P_TOLERANCE
+            assert abs(moments.polarization - p) < P_TOLERANCE
     assert np.mean(counts) <= 5.0
 
 
@@ -450,9 +481,9 @@ def test_solve_field_warm_start_at_root_takes_one_evaluation(monkeypatch):
         return polarization_at(*args)
 
     monkeypatch.setattr(occupancy, "polarization_at", counted)
-    h, sums = solve_field_for_polarization(model, params, 0.5, start=h_root)
+    h, moments = solve_field_for_polarization(model, params, 0.5, start=h_root)
     assert fields == [h_root] and h == h_root
-    assert abs(sums.polarization - 0.5) < P_TOLERANCE
+    assert abs(moments.polarization - 0.5) < P_TOLERANCE
 
 
 @pytest.mark.parametrize(
@@ -472,17 +503,17 @@ def test_solve_field_zero_target_is_one_evaluation_at_zero_field(model, monkeypa
         return polarization_at(*args)
 
     monkeypatch.setattr(occupancy, "polarization_at", counted)
-    h, sums = solve_field_for_polarization(model, params, 0.0)
-    assert fields == [0.0] and h == 0.0 and sums.polarization == 0.0
+    h, moments = solve_field_for_polarization(model, params, 0.0)
+    assert fields == [0.0] and h == 0.0 and moments.polarization == 0.0
     table = build_occupation_table(model, replace(params, field=0.0))
-    want = spin_sums(*table, -1.0)
-    assert [float(x).hex() for x in sums] == [float(x).hex() for x in want]
+    want = spin_moments(*table, -1.0)
+    assert [float(x).hex() for x in moments] == [float(x).hex() for x in want]
 
 
 def test_solve_field_zero_target_follows_a_positive_start():
     params = GasParameters.fermi(temperature=0.3)
-    h, sums = solve_field_for_polarization(HarmonicTrap(), params, 0.0, start=0.4)
-    assert 0.0 <= h < 0.4 and abs(sums.polarization) < P_TOLERANCE
+    h, moments = solve_field_for_polarization(HarmonicTrap(), params, 0.0, start=0.4)
+    assert 0.0 <= h < 0.4 and abs(moments.polarization) < P_TOLERANCE
 
 
 @pytest.mark.parametrize("start", [None, math.nan, 0.0, -0.3, math.inf])
@@ -498,8 +529,8 @@ def test_solve_field_degenerate_trap_converges():
     # mu = 1 = 30 spacings sits halfway between two shells, so at T = 5e-4
     # the slope at 2T artanh(P*) is ~exp(-33); the search must still find H
     params = GasParameters.fermi(temperature=5e-4)
-    h, sums = solve_field_for_polarization(HarmonicTrap(), params, 0.5)
-    assert abs(sums.polarization - 0.5) < P_TOLERANCE
+    h, moments = solve_field_for_polarization(HarmonicTrap(), params, 0.5)
+    assert abs(moments.polarization - 0.5) < P_TOLERANCE
     assert 0.0 < h < 1.0
 
 
@@ -542,7 +573,7 @@ def test_bracketed_root_step_never_meets_ftol():
 
 
 def test_solve_field_rejects_bose_and_bad_target():
-    params = GasParameters.bose(temperature=1.0, fugacity=0.5)
+    params = GasParameters.bose(FreeSpaceContinuum(), temperature=1.0, fugacity=0.5)
     with pytest.raises(ValueError):
         solve_field_for_polarization(FreeSpaceContinuum(), params, 0.5)
     fermi = GasParameters.fermi(temperature=0.2)
@@ -551,9 +582,10 @@ def test_solve_field_rejects_bose_and_bad_target():
 
 
 def test_build_table_is_deterministic():
-    params = GasParameters.bose(temperature=0.7, fugacity=0.6, field=0.1)
-    a = build_occupation_table(FreeSpaceGrid(half_width=6), params)
-    b = build_occupation_table(FreeSpaceGrid(half_width=6), params)
+    model = FreeSpaceGrid(half_width=6)
+    params = GasParameters.bose(model, temperature=0.7, fugacity=0.6, field=0.1)
+    a = build_occupation_table(model, params)
+    b = build_occupation_table(model, params)
     assert np.array_equal(a[1], b[1])
 
 
@@ -564,7 +596,8 @@ def test_build_table_is_deterministic():
 )
 def test_bose_occupations_positive_and_finite(z, t):
     h = 0.5 * t * math.log(1.0 / z)  # safely inside the fugacity guard
-    params = GasParameters.bose(temperature=t, fugacity=z, field=h)
-    table = build_occupation_table(HarmonicTrap(level_spacing=1 / 10), params)
+    model = HarmonicTrap(level_spacing=1 / 10)
+    params = GasParameters.bose(model, temperature=t, fugacity=z, field=h)
+    table = build_occupation_table(model, params)
     for col in table[1]:
         assert np.all(col > 0.0) and np.all(np.isfinite(col))

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singletgas import occupancy, oracle
-from singletgas.occupancy import DegenerateInputError, DomainError, NoConvergence
+from singletgas.occupancy import (
+    DegenerateInputError,
+    DomainError,
+    NoConvergence,
+    SpinMoments,
+)
 from singletgas.oracle import (
     FockEnsemble,
     closed_form_moments,
@@ -15,11 +20,7 @@ from singletgas.oracle import (
     oracle_deviations,
 )
 from singletgas.rng import Lcg64
-from singletgas.spinmoments import (
-    SpinMoments,
-    collective_variances,
-    tightest_permutations,
-)
+from singletgas.spinmoments import tightest_permutations
 
 
 def test_single_fermi_mode_equal_weights():
@@ -150,7 +151,7 @@ def _report_values(report):
     moments = [
         getattr(m, f)
         for m in (report.moments, report.sector_moments)
-        for f in SpinMoments.__dataclass_fields__
+        for f in SpinMoments._fields
     ]
     sides = [v for check in report.checks for v in (check.lhs, check.rhs)]
     return [*moments, report.weight_n_le_1, *sides]
@@ -211,6 +212,22 @@ def test_non_finite_inputs_rejected(statistics, changes):
         FockEnsemble(statistics, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "statistics, changes, message",
+    [
+        ("fermion", {}, "unknown statistics"),
+        ("fermi", {"beta": 0.0}, "inverse temperature must be positive"),
+        ("bose", {"beta": -1.0}, "inverse temperature must be positive"),
+    ],
+    ids=["statistics", "fermi-beta=0", "bose-beta=-1"],
+)
+def test_invalid_ensembles_rejected(statistics, changes, message):
+    kwargs = {"energies": (0.1, 0.3), "beta": 1.0, "mu": -0.5, "field": 0.2}
+    kwargs.update(changes)
+    with pytest.raises(ValueError, match=message):
+        FockEnsemble(statistics, **kwargs)
+
+
 def _brute_force_report(ens, cut):
     """Every field of an ExactReport by enumerating each (n_up, n_dn) per
     mode up to ``cut``: a reference independent of the oracle's per-spin
@@ -248,6 +265,7 @@ def _brute_force_report(ens, cut):
             mean_jz=mean_jz,
             var_jx=var_jx,
             var_jz=(w * jz**2)[sel].sum() / z - mean_jz**2,
+            cov_njz=(w * n * jz)[sel].sum() / z - mean_n * mean_jz,
         )
 
     sel = n >= 2
@@ -294,7 +312,7 @@ def test_exact_report_matches_brute_force(ens, cut):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
     for got, want in ((report.moments, moments), (report.sector_moments, sector)):
-        for field in SpinMoments.__dataclass_fields__:
+        for field in SpinMoments._fields:
             close(getattr(got, field), getattr(want, field))
     close(report.weight_n_le_1, weight_low)
     for got, want in zip(report.checks, checks):
@@ -371,19 +389,22 @@ def test_detailed_balance_transverse_variance(ens):
 @settings(max_examples=30, deadline=None)
 @given(ens=field_ensembles())
 def test_fluctuation_dissipation_longitudinal_variance(ens):
-    # Var(Jz) = T d<Jz>/dH, the derivative by central difference
+    # Var(Jz) = T d<Jz>/dH and Cov(N, Jz) = T d<N>/dH, the derivatives by
+    # central difference
     step = 1e-5
     up = _both_routes(replace(ens, field=ens.field + step))
     dn = _both_routes(replace(ens, field=ens.field - step))
     for m, a, b in zip(_both_routes(ens), up, dn):
         expected = (a.mean_jz - b.mean_jz) / (2.0 * step * ens.beta)
         assert abs(m.var_jz - expected) <= 1e-6 * max(1.0, abs(expected))
+        expected = (a.mean_n - b.mean_n) / (2.0 * step * ens.beta)
+        assert abs(m.cov_njz - expected) <= 1e-6 * max(1.0, abs(expected))
 
 
 def _per_ensemble_deviations(ensembles):
     """The per-ensemble loop that oracle_deviations batches: exact reports
     per (statistics, cutoff) group, then each ensemble's closed form through
-    its own GasParameters, occupation and one-table spin sums."""
+    its own GasParameters, occupation and one-table spin moments."""
     groups = {}
     for i, ens in enumerate(ensembles):
         key = (ens.statistics, oracle._occupation_cutoff(ens))
@@ -399,10 +420,8 @@ def _per_ensemble_deviations(ensembles):
             ens.statistics, 1.0 / ens.beta, mu=ens.mu, field=ens.field
         )
         n = occupancy.occupation(energies, params, occupancy.SPINS)
-        wick = collective_variances(
-            occupancy.spin_sums(np.ones_like(energies), n, params.eta)
-        )
-        pairs = zip(vars(exact[i].moments).values(), vars(wick).values())
+        wick = occupancy.spin_moments(np.ones_like(energies), n, params.eta)
+        pairs = zip(exact[i].moments[:4], wick[:4])
         deviations.append(max(abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in pairs))
     return deviations
 
@@ -452,10 +471,8 @@ def test_padded_closed_forms_match_lone_ensembles_bitwise():
         FockEnsemble("bose", (0.2, 0.5, 0.9, 1.3), beta=1.5, mu=-0.6, field=0.2),
     ]
     for group in (fermi, bose):
-        batch = vars(oracle._closed_forms(group))
+        batch = oracle._closed_forms(group)
         for i, ens in enumerate(group):
-            alone = vars(closed_form_moments(ens))
-            assert [float(batch[k][i]).hex() for k in alone] == [
-                v.hex() for v in alone.values()
-            ]
+            alone = closed_form_moments(ens)
+            assert [float(v[i]).hex() for v in batch] == [v.hex() for v in alone]
         assert oracle_deviations(group) == [oracle_deviations([e])[0] for e in group]

@@ -194,12 +194,15 @@ def test_deterministic_ordering():
         FreeSpaceGrid(half_width=0),
         HarmonicTrap(level_spacing=0.0),
         FreeSpaceContinuum(),
+        object(),
     ],
 )
 def test_invalid_models_rejected(model):
     # a cold Fermi sea at mu = -5 is empty: the trap shell cutoff and the
-    # continuum window come out negative
-    with pytest.raises(ValueError):
+    # continuum window come out negative; what is no spectrum model is a
+    # TypeError
+    error = TypeError if type(model) is object else ValueError
+    with pytest.raises(error):
         enumerate_levels(model, 0.01, mu=-5.0)
 
 

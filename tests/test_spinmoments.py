@@ -7,15 +7,14 @@ from hypothesis import given, settings, strategies as st
 from singletgas import occupancy, spinmoments
 from singletgas.occupancy import (
     GasParameters,
+    SpinMoments,
     build_occupation_table,
-    spin_sums,
+    spin_moments,
 )
 from singletgas.spectra import FreeSpaceContinuum, FreeSpaceGrid, HarmonicTrap
 from singletgas.spinmoments import (
     T_TOLERANCE,
     BracketError,
-    SpinMoments,
-    collective_variances,
     find_threshold,
     moments_at,
     singlet_fraction_sweep,
@@ -32,7 +31,7 @@ def table_of(n_up, n_down, weights=None):
 
 
 def moments_of(table, eta):
-    return collective_variances(spin_sums(*table, eta))
+    return spin_moments(*table, eta)
 
 
 def test_single_fermi_level_half_filled():
@@ -72,7 +71,7 @@ def test_mean_jz_and_polarization():
 
 
 def test_witness_maximal_violation():
-    moments = SpinMoments(100.0, 0.0, 0.0, 0.0)
+    moments = SpinMoments(100.0, 0.0, 0.0, 0.0, 0.0)
     report = witness_report(moments)
     assert report.sum.lhs == 0.0
     assert report.sum.rhs == 50.0
@@ -83,7 +82,7 @@ def test_witness_maximal_violation():
 def test_witness_boundary_case():
     # sum of variances exactly <N>/2: f_s = 0, nothing witnessed
     v = 100.0 / 6.0
-    moments = SpinMoments(100.0, 0.0, v, v)
+    moments = SpinMoments(100.0, 0.0, v, v, 0.0)
     report = witness_report(moments)
     assert 1.0 - xi_squared(moments) == pytest.approx(0.0, abs=1e-12)
     assert report.sum.satisfied
@@ -91,7 +90,7 @@ def test_witness_boundary_case():
 
 def test_witness_requires_enough_particles():
     with pytest.raises(ValueError):
-        witness_report(SpinMoments(2.0, 0.0, 0.1, 0.1))
+        witness_report(SpinMoments(2.0, 0.0, 0.1, 0.1, 0.0))
 
 
 def _three_permutation_checks(
@@ -157,8 +156,9 @@ def test_witness_flags_and_xi_identity():
 
 
 def test_bose_table_satisfies_all_inequalities():
-    params = GasParameters.bose(temperature=1.0, fugacity=0.8, field=0.1)
-    table = build_occupation_table(FreeSpaceGrid(half_width=8), params)
+    model = FreeSpaceGrid(half_width=8)
+    params = GasParameters.bose(model, temperature=1.0, fugacity=0.8, field=0.1)
+    table = build_occupation_table(model, params)
     moments = moments_of(table, eta=+1)
     report = witness_report(moments)
     assert all(check.satisfied for check in report)
@@ -174,8 +174,9 @@ def test_bose_table_satisfies_all_inequalities():
 )
 def test_bose_never_witnessed_property(z, t, h_frac):
     h = h_frac * 2.0 * t * math.log(1.0 / z)
-    params = GasParameters.bose(temperature=t, fugacity=z, field=h)
-    table = build_occupation_table(HarmonicTrap(level_spacing=1 / 20), params)
+    model = HarmonicTrap(level_spacing=1 / 20)
+    params = GasParameters.bose(model, temperature=t, fugacity=z, field=h)
+    table = build_occupation_table(model, params)
     moments = moments_of(table, eta=+1)
     if moments.mean_n > 6.0:
         report = witness_report(moments)
@@ -230,9 +231,8 @@ def test_sweep_errors_name_the_grid_point():
 )
 def test_moments_at_builds_one_table_per_p_evaluation(model, monkeypatch):
     # the field solve's last table is the one the moments come from: one
-    # table and one reduction per P evaluation, no rebuild or second
-    # reduction after the solve (only the formula), and one P evaluation at
-    # H = 0 when P* = 0
+    # table and one reduction per P evaluation, nothing after the solve, and
+    # one P evaluation at H = 0 when P* = 0
     calls = []
 
     def counting(module, name):
@@ -246,22 +246,16 @@ def test_moments_at_builds_one_table_per_p_evaluation(model, monkeypatch):
 
     counting(occupancy, "polarization_at")
     counting(occupancy, "build_occupation_table")
-    counting(occupancy, "spin_sums")
-    counting(spinmoments, "collective_variances")
+    counting(occupancy, "spin_moments")
     field, moments = moments_at(model, 0.3, 0.0)
     assert field == 0.0
-    assert calls == [
-        "polarization_at",
-        "build_occupation_table",
-        "spin_sums",
-        "collective_variances",
-    ]
+    assert calls == ["polarization_at", "build_occupation_table", "spin_moments"]
     for p in (0.2, 0.6):
         calls.clear()
         field, moments = moments_at(model, 0.3, p)
         evals = calls.count("polarization_at")
-        per_eval = ["polarization_at", "build_occupation_table", "spin_sums"]
-        assert evals > 0 and calls == per_eval * evals + ["collective_variances"]
+        per_eval = ["polarization_at", "build_occupation_table", "spin_moments"]
+        assert evals > 0 and calls == per_eval * evals
         polarization = 2.0 * moments.mean_jz / moments.mean_n
         assert polarization == pytest.approx(p, abs=occupancy.P_TOLERANCE)
 
@@ -306,18 +300,21 @@ def test_detailed_balance_gas_models(model, t, p):
 )
 @pytest.mark.parametrize("t,h", [(0.1, 0.05), (0.5, 0.3), (1.0, 0.5)])
 def test_fluctuation_dissipation_gas_models(model, spin_stats, t, h):
-    # Var(Jz) = T d<Jz>/dH at fixed mu (fixed fugacity for Bose), by a
-    # central difference.
+    # Var(Jz) = T d<Jz>/dH and Cov(N, Jz) = T d<N>/dH at fixed mu (fixed
+    # fugacity for Bose), by a central difference.
     def moments(field):
         if spin_stats == "fermi":
             params = GasParameters.fermi(t, mu=1.0, field=field)
         else:
-            params = GasParameters.bose(t, fugacity=0.5, field=field)
+            params = GasParameters.bose(model, t, fugacity=0.5, field=field)
         return moments_of(build_occupation_table(model, params), params.eta)
 
     step = 1e-5
-    slope = (moments(h + step).mean_jz - moments(h - step).mean_jz) / (2.0 * step)
-    assert t * slope == pytest.approx(moments(h).var_jz, rel=1e-6)
+    up, down, here = moments(h + step), moments(h - step), moments(h)
+    slope = (up.mean_jz - down.mean_jz) / (2.0 * step)
+    assert t * slope == pytest.approx(here.var_jz, rel=1e-6)
+    slope = (up.mean_n - down.mean_n) / (2.0 * step)
+    assert t * slope == pytest.approx(here.cov_njz, rel=1e-6)
 
 
 # T* from the bisection that the Illinois search replaced (midpoint of a
@@ -461,9 +458,8 @@ CONTINUUM_POLYLOG_MOMENTS = {  # (T, H): (<N>, P, Var Jx, Var Jz)
 def test_continuum_moments_match_polylogs(t, h):
     mean_n, p, var_jx, var_jz = CONTINUUM_POLYLOG_MOMENTS[t, h]
     params = GasParameters.fermi(t, mu=1.0, field=h)
-    sums = spin_sums(*build_occupation_table(FreeSpaceContinuum(), params), -1.0)
-    moments = collective_variances(sums)
-    assert sums.polarization == pytest.approx(p, rel=0.0, abs=1e-13)
+    moments = spin_moments(*build_occupation_table(FreeSpaceContinuum(), params), -1.0)
+    assert moments.polarization == pytest.approx(p, rel=0.0, abs=1e-13)
     for got, want in (
         (moments.mean_n, mean_n),
         (moments.var_jx, var_jx),
