@@ -40,7 +40,6 @@ threshold = build_config(
     {
         "workflow": "threshold",
         "spectrum": "trap",
-        "t_bracket": [0.05, 1.0],
         "out": str(OUT / "trap_threshold.csv"),
     }
 )

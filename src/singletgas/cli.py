@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lattice, oracle, spectra, spinmoments
-from .occupancy import DegenerateInputError, DomainError, NoConvergence
+from .occupancy import DomainError, NoConvergence
 from .rng import Lcg64
 
 EXIT_OK = 0
@@ -41,7 +41,6 @@ class RunConfig:
     t_grid: list = field(default_factory=lambda: [0.1, 0.2, 0.5, 1.0])
     p_grid: list = field(default_factory=lambda: [0.0])
     p_target: float = 0.0
-    t_bracket: list = field(default_factory=lambda: [0.02, 2.0])
     mu_over_homega: float = 30.0
     half_width: int = 15
     lattice_size: int = 64
@@ -61,21 +60,18 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.spectrum not in ("continuum", "grid", "trap"):
             raise ConfigError(f"unknown spectrum {self.spectrum!r}")
-        if len(self.t_bracket) != 2:
-            raise ConfigError("t_bracket must hold two temperatures")
-        for name in ("t_grid", "p_grid", "t_bracket"):
+        for name in ("t_grid", "p_grid"):
             grid = getattr(self, name)
             if not grid:
                 raise ConfigError(f"{name} must be nonempty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
-        for name in ("t_grid", "p_grid", "t_bracket"):
-            if not all(map(math.isfinite, getattr(self, name))):
+            if not all(map(math.isfinite, grid)):
                 raise ConfigError(f"{name} must be finite")
         for name in ("p_target", "mu_over_homega", "t_over_j"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        if any(t <= 0 for t in self.t_grid + self.t_bracket):
+        if any(t <= 0 for t in self.t_grid):
             raise ConfigError("temperatures must be positive")
         if any(not 0.0 <= p < 1.0 for p in self.p_grid + [self.p_target]):
             raise ConfigError("polarizations must lie in [0, 1)")
@@ -230,9 +226,7 @@ def run_sweep(cfg):
 
 def run_threshold(cfg):
     model = _model_for(cfg)
-    t_star = spinmoments.find_threshold(
-        model, cfg.p_target, t_bracket=tuple(cfg.t_bracket)
-    )
+    t_star = spinmoments.find_threshold(model, cfg.p_target)
     _write_table(cfg, ("P", "T_star_over_mu"), [(cfg.p_target, t_star)])
 
 
@@ -335,7 +329,7 @@ def main(argv=None):
 
     try:
         return run(cfg)
-    except (DomainError, DegenerateInputError, spinmoments.BracketError) as err:
+    except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     except NoConvergence as err:

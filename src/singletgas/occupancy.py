@@ -19,7 +19,7 @@ SPIN_DOWN = -0.5
 SPINS = np.array([[SPIN_UP], [SPIN_DOWN]])  # both spins as one broadcast column
 
 
-class DegenerateInputError(ValueError):
+class DegenerateInputError(DomainError):
     """Input with no usable information (e.g. zero total particle number)."""
 
 

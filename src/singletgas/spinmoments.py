@@ -6,11 +6,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import occupancy
-from .occupancy import GasParameters
-
-
-class BracketError(ValueError):
-    """Root bracket without a sign change."""
+from .occupancy import DomainError, GasParameters
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ def singlet_fraction_sweep(model, t_grid, p_grid):
         for p in p_grid:
             try:
                 field, moments = moments_at(model, t, p)
-            except (occupancy.DomainError, occupancy.NoConvergence) as err:
+            except (DomainError, occupancy.NoConvergence) as err:
                 raise type(err)(f"at grid point T={t}, P={p}: {err}") from None
             xi2 = xi_squared(moments)
             rows.append(
@@ -135,6 +131,7 @@ def singlet_fraction_sweep(model, t_grid, p_grid):
 
 
 T_TOLERANCE = 1e-6
+T_BRACKET = (0.02, 2.0)  # the first bracket of every T* search
 
 
 def _bracketed_root(f, a, b, fa, fb, xtol=0.0):
@@ -175,14 +172,17 @@ def _secant_field(solved, temperature):
     return h1 + (h1 - h0) * (temperature - t1) / (t1 - t0)
 
 
-def find_threshold(model, p_target=0.0, t_bracket=(0.02, 2.0)):
-    """Temperature at which f_s(T, P) changes sign, to within T_TOLERANCE.
+def find_threshold(model, p_target=0.0):
+    """Temperature at which f_s(T, P) changes sign, to within T_TOLERANCE * T*.
 
-    The bracket must straddle the zero: f_s > 0 at the lower end and
-    f_s < 0 at the upper end.  ``_bracketed_root`` narrows it to T_TOLERANCE.
-    Each field solve after the first two starts from the secant predictor,
-    the line through this search's last two solved (T, H), which cuts the
-    P evaluations per search by about a third; no state outlives the call.
+    f_s must be negative at T_BRACKET's upper end, which never moves: a
+    box-cut spectrum turns f_s positive again when hot.  While f_s <= 0 at
+    the lower end, it becomes the upper end and the lower end steps down
+    eightfold; f_s -> 1 - P > 0 as T -> 0 wherever mu lies inside the band.
+    ``_bracketed_root`` narrows [lo, hi] to T_TOLERANCE * hi / 2, exactly
+    T_TOLERANCE on T_BRACKET.  Each field solve after the first two starts
+    from the secant predictor, the line through this search's last two
+    solved (T, H), which cuts the P evaluations per search by about a third.
     """
     solved = []
 
@@ -191,10 +191,16 @@ def find_threshold(model, p_target=0.0, t_bracket=(0.02, 2.0)):
         solved.append((t, field))
         return 1.0 - xi_squared(moments)
 
-    lo, hi = t_bracket
+    lo, hi = T_BRACKET
     f_lo, f_hi = f_s(lo), f_s(hi)
-    if not f_lo > 0.0 > f_hi:
-        raise BracketError(
-            f"f_s does not change sign on [{lo}, {hi}] at P={p_target}"
-        )
-    return _bracketed_root(f_s, lo, hi, f_lo, f_hi, xtol=T_TOLERANCE)
+    if not f_hi < 0.0:
+        raise DomainError(f"no threshold at P={p_target}: f_s >= 0 at T={hi}")
+    while not f_lo > 0.0:
+        if lo < T_TOLERANCE:
+            raise DomainError(
+                f"no threshold at P={p_target}: f_s <= 0 down to T={lo:.3g}"
+            )
+        hi, f_hi = lo, f_lo
+        lo = lo / 8.0
+        f_lo = f_s(lo)
+    return _bracketed_root(f_s, lo, hi, f_lo, f_hi, xtol=T_TOLERANCE * hi / 2.0)

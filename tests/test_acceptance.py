@@ -65,7 +65,7 @@ def test_criterion_2_grid_continuum_consistency():
 
 def test_criterion_3_trap_threshold_and_number():
     start = time.perf_counter()
-    t_star = find_threshold(TRAP, 0.0, t_bracket=(0.05, 1.0))
+    t_star = find_threshold(TRAP, 0.0)
     table = build_occupation_table(TRAP, GasParameters.fermi(0.02, 1.0))
     n = spin_moments(*table, eta=-1.0).mean_n
     elapsed = time.perf_counter() - start

@@ -45,9 +45,8 @@ def test_parse_json_config():
         "workflow = trap",
         "workflow = freespace\nt_grid = nan",
         "workflow = freespace\nt_grid = 0.5, inf",
+        "workflow = freespace\nt_grid = -1, 0.5",
         "workflow = threshold\np_target = nan",
-        "workflow = threshold\nt_bracket = 0.02, nan",
-        "workflow = threshold\nt_bracket = 0.5",
         "workflow = lattice\nt_over_j = -1",
         "workflow = freespace\nspectrum = trap\nmu_over_homega = 0",
         "workflow = freespace\nspectrum = grid\nhalf_width = 0",
@@ -55,9 +54,6 @@ def test_parse_json_config():
         "workflow = validate\nsamples_bose = -1",
         "workflow = threshold\np_target = 1.5",
         "workflow = threshold\np_target = -0.1",
-        "workflow = threshold\nt_bracket = -1, 2",
-        "workflow = threshold\nt_bracket = 2, 0.5",
-        "workflow = threshold\nt_bracket = 0.5, 0.5",
         '{"workflow": "lattice", "lattice_size": 64.9}',
         '{"workflow": "freespace", "spectrum": "grid", "half_width": 2.5}',
         '{"workflow": "validate", "samples_bose": true}',
@@ -206,13 +202,10 @@ def test_exit_codes(tmp_path):
     assert main(["--config", str(tmp_path / "missing.cfg")]) == cli.EXIT_IO
     # config error
     assert run_cli(tmp_path, "workflow = nonsense\n") == cli.EXIT_CONFIG
-    # domain error: threshold bracket without a sign change
+    # domain error: no threshold, since f_s >= 0 at T = 2 on the w = 2 grid
     out = tmp_path / "dom.csv"
-    status = run_cli(
-        tmp_path,
-        f"workflow = threshold\nt_bracket = 0.02, 0.05\nout = {out}\n",
-    )
-    assert status == cli.EXIT_DOMAIN
+    job = f"workflow = threshold\nspectrum = grid\nhalf_width = 2\nout = {out}\n"
+    assert run_cli(tmp_path, job) == cli.EXIT_DOMAIN
 
 
 def test_degenerate_input_exit_code(tmp_path, capsys):
@@ -223,7 +216,10 @@ def test_degenerate_input_exit_code(tmp_path, capsys):
     job += f"out = {out}\n"
     assert run_cli(tmp_path, job) == cli.EXIT_DOMAIN
     err = capsys.readouterr().err
-    assert err == "error: zero total particle number, polarization undefined\n"
+    assert err == (
+        "error: at grid point T=0.1, P=0.0: "
+        "zero total particle number, polarization undefined\n"
+    )
     assert not out.exists()
 
 
@@ -373,7 +369,6 @@ def log_uniform(lo, hi):
 
 
 TEMPERATURES = log_uniform(-300, 308)
-T_BRACKETS = st.lists(TEMPERATURES, min_size=2, max_size=2, unique=True).map(sorted)
 
 
 @settings(max_examples=300, deadline=None)
@@ -388,7 +383,6 @@ T_BRACKETS = st.lists(TEMPERATURES, min_size=2, max_size=2, unique=True).map(sor
     half_width=st.integers(1, 16) | st.integers(148, 10**6),
     lattice_size=(st.integers(1, 128) | st.integers(129, 2**19)).map(lambda k: 2 * k),
     t_over_j=TEMPERATURES,
-    t_bracket=T_BRACKETS,
 )
 def test_extreme_configs_exit_with_a_documented_code(tmp_path_factory, **config):
     # with the size cap at 2^16 every spectrum and lattice reaches its refusal

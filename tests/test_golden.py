@@ -28,42 +28,42 @@ JOBS = {
 
 DIGESTS = {
     ("continuum", "csv"): {
-        "out.csv": "5180a00bfba52d9ee96548dacdec38940d7c5f56f8931387da1d08a95ca57bf7",
+        "out.csv": "86c54b7bfa6a9849044bf6b1dd37128c3b21da536c7b0a8f1916ac7179dd05fd",
     },
     ("continuum", "json"): {
-        "out.json": "690a51f1e190695928f0c73e81990018cf72806d9f4bd6becdfa44d41754305f",
+        "out.json": "57f50a76c0370cedc9c4e26528afdd7615ea16d279ceb02cba1439e6c82a4cdb",
     },
     ("grid", "csv"): {
-        "out.csv": "654960cde10f2a3bac7c22b84197c1468aa20a4970a194f485278f46870e3a6d",
+        "out.csv": "f9c1a0d23ae9cb99e0c6fc672449756d5e4758c789f75fa2b5bcd818066d18a9",
     },
     ("grid", "json"): {
-        "out.json": "250ae544e7a9fa816cfb15400b33bc47610d30409241c27f831c3a72739d74ef",
+        "out.json": "dc1ed684a9c1f02e5e47afa4b585c0857bf46553c826cde51348f8d7f5123088",
     },
     ("lattice", "csv"): {
-        "out_correlation.csv": "e6852d8bc025616f0d3b228e2e3e2697efcf50ed8ebb30db4db92b45e05668ff",
-        "out_structure_factor.csv": "9c4acc5a14d5443965a47c93a407a0b6df93e65f48f1ef763964534b70d41ece",
+        "out_correlation.csv": "08dadea3e8faf1ed2ebfde09101802d79e1676a9ed3aba6f94140f78504cd91f",
+        "out_structure_factor.csv": "02e94dc2e0fcb367e4c60f44bb8de8422e71a3fd3d65b91f5cb5fd9b194776db",
     },
     ("lattice", "json"): {
-        "out_correlation.json": "5b037e3ea074db46bb7255719194e3407ca09299ffd4bd8fc6453a14aaec200e",
-        "out_structure_factor.json": "49b038f2d2f1dae62148381589e24811775983d0fdef4270433ac6cd5e3f879b",
+        "out_correlation.json": "5259d5bbbd1de13d37a9da60c5a9ef6ece69e56edd55e41a67b2cad4e695c92b",
+        "out_structure_factor.json": "90d6eb07fbf6e79a2a64c146ebef6cd153efc81901347532859c053df96265d2",
     },
     ("threshold", "csv"): {
-        "out.csv": "e7eaa34e8660d4838686a9ab1061647433ba0bdbbba373aa9b8fc22235fee9f2",
+        "out.csv": "c8209b76ff01bb1acf364e856fa560396b0f53642e63ccd991c690d5962caa6f",
     },
     ("threshold", "json"): {
-        "out.json": "fb55a23a1b81733ac63e55d26724e4ee56308f1b5ec646bac085f93f5e967994",
+        "out.json": "a2412da1c1fe5d0d5289ad548603911e834d59c806ccabd0b1676db8d151421b",
     },
     ("trap", "csv"): {
-        "out.csv": "c4bbbfd2ae42c7f3cf3b2815ceebf48395e65f4dfae687a8361f76bdd9d9192c",
+        "out.csv": "990e29a8c657410d231dd82f43930048400b28b06344ba734eae97785eb2cb58",
     },
     ("trap", "json"): {
-        "out.json": "924dd9336ccb9686446df9a8e4281463fcbf501e92287398dc2443b4d574cabb",
+        "out.json": "f0bb34af114c2216897c4677074632d70f8cb469e1dd9c1b69cd7a70dd76de78",
     },
     ("validate", "csv"): {
-        "out.csv": "e36c7b93c8b340439ae1003a15c1650274a058a4b72cbaddca5d804674303f2f",
+        "out.csv": "f6a8afb70294588cbcfd201c9f1e69d83b67a47be909620d97f86c251bbc29f3",
     },
     ("validate", "json"): {
-        "out.json": "63348c656f8ee7d260e87e32d2d765ef80d980fb3258c5f8593579f51a4c1fa5",
+        "out.json": "3dd08c7436b67ccb19094001c90438348795e3343341b2a347cc9040079a114f",
     },
 }
 

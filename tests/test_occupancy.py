@@ -146,6 +146,14 @@ def test_saturation_guards():
     assert occupation(1000.0, bose) == 0.0
 
 
+def test_occupation_at_the_exp_guard_is_not_cut():
+    # the guard itself still lies in the exp range: only x > EXP_GUARD is 0
+    fermi = GasParameters.fermi(temperature=1.0, mu=0.0)
+    assert occupation(EXP_GUARD, fermi) == 1.0 / (math.exp(EXP_GUARD) + 1.0) > 0.0
+    bose = GasParameters("bose", temperature=1.0, mu=0.0)
+    assert occupation(EXP_GUARD, bose) == 1.0 / math.expm1(EXP_GUARD) > 0.0
+
+
 def masked_occupation(energy, params, sigma=SPIN_UP):
     """Reference: the occupation kernel with one mask per saturation regime."""
     x = np.asarray(

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from singletgas import occupancy, spinmoments
 from singletgas.occupancy import (
+    DegenerateInputError,
+    DomainError,
     GasParameters,
     SpinMoments,
     build_occupation_table,
@@ -13,8 +15,8 @@ from singletgas.occupancy import (
 )
 from singletgas.spectra import FreeSpaceContinuum, FreeSpaceGrid, HarmonicTrap
 from singletgas.spinmoments import (
+    T_BRACKET,
     T_TOLERANCE,
-    BracketError,
     find_threshold,
     moments_at,
     singlet_fraction_sweep,
@@ -86,6 +88,18 @@ def test_witness_boundary_case():
     report = witness_report(moments)
     assert 1.0 - xi_squared(moments) == pytest.approx(0.0, abs=1e-12)
     assert report.sum.satisfied
+
+
+def test_witness_mean_n_sides_divide_by_n_minus_one():
+    # <N> = 5, so every 1/(N - 1) is 1/4: <Jx^2/(N-1)> = 0.75/4,
+    # <Jz^2/(N-1)> = (0.5 + 1^2)/4, <N/(N-1)>/2 = 5/8, <N(N-2)/(N-1)>/4 = 15/16;
+    # all exact in binary, and the tightest permutations are Var(Jz) for
+    # inequality 2 and Var(Jx) + Var(Jz) for inequality 3
+    report = witness_report(SpinMoments(5.0, 1.0, 0.75, 0.5, 0.0))
+    assert (report.single.lhs, report.single.rhs) == (0.5, 2.0 * 0.1875 - 0.625)
+    assert (report.pair.lhs, report.pair.rhs) == (1.25, 0.1875 + 0.9375)
+    assert report.single.satisfied and report.pair.satisfied
+    assert report.pair.approximation == "mean-N"
 
 
 def test_witness_requires_enough_particles():
@@ -318,7 +332,7 @@ def test_fluctuation_dissipation_gas_models(model, spin_stats, t, h):
 
 
 # T* from the bisection that the Illinois search replaced (midpoint of a
-# bracket narrower than T_TOLERANCE), for the brackets below
+# bracket narrower than T_TOLERANCE); the trap's bracket was (0.05, 1.0)
 BISECTION_T_STAR = {
     ("continuum", 0.0): 1.1163386869430543,
     ("continuum", 0.2): 1.075857844352722,
@@ -336,15 +350,15 @@ BISECTION_T_STAR = {
 
 
 @pytest.mark.parametrize(
-    "name,model,t_bracket",
+    "name,model",
     [
-        ("continuum", FreeSpaceContinuum(), (0.02, 2.0)),
-        ("grid", FreeSpaceGrid(), (0.02, 2.0)),
-        ("trap", HarmonicTrap(), (0.05, 1.0)),
+        ("continuum", FreeSpaceContinuum()),
+        ("grid", FreeSpaceGrid()),
+        ("trap", HarmonicTrap()),
     ],
     ids=["continuum", "grid", "trap"],
 )
-def test_threshold_evaluation_count(name, model, t_bracket, monkeypatch):
+def test_threshold_evaluation_count(name, model, monkeypatch):
     # f_s evaluations per search, both bracket ends included; a bisection
     # to T_TOLERANCE needs 22-23, so only a superlinear search passes
     evals = []
@@ -358,7 +372,7 @@ def test_threshold_evaluation_count(name, model, t_bracket, monkeypatch):
     counts = []
     for p in (0.0, 0.2, 0.5, 0.8):
         evals.clear()
-        t_star = find_threshold(model, p, t_bracket=t_bracket)
+        t_star = find_threshold(model, p)
         counts.append(len(evals))
         assert t_star == pytest.approx(BISECTION_T_STAR[name, p], abs=T_TOLERANCE)
     assert np.mean(counts) <= 14.0
@@ -366,7 +380,7 @@ def test_threshold_evaluation_count(name, model, t_bracket, monkeypatch):
 
 def test_threshold_p_evaluation_count(monkeypatch):
     # P evaluations per T* search.  Warm-started field solves measured 27-36
-    # (mean 30.9); cold starts from 2T artanh(P*) took 43-58 (mean 49.9)
+    # (mean 31.8); cold starts from 2T artanh(P*) took 43-58 (mean 49.9)
     calls = []
     polarization_at = occupancy.polarization_at
 
@@ -376,14 +390,10 @@ def test_threshold_p_evaluation_count(monkeypatch):
 
     monkeypatch.setattr(occupancy, "polarization_at", counted)
     counts = []
-    for model, t_bracket in (
-        (FreeSpaceContinuum(), (0.02, 2.0)),
-        (FreeSpaceGrid(), (0.02, 2.0)),
-        (HarmonicTrap(), (0.05, 1.0)),
-    ):
+    for model in (FreeSpaceContinuum(), FreeSpaceGrid(), HarmonicTrap()):
         for p in (0.2, 0.5, 0.8):
             calls.clear()
-            find_threshold(model, p, t_bracket=t_bracket)
+            find_threshold(model, p)
             counts.append(len(calls))
     assert np.mean(counts) <= 34.0
 
@@ -407,7 +417,7 @@ def test_threshold_solves_start_from_the_secant_field(monkeypatch):
         return real_solve(model, params, p_target, start)
 
     monkeypatch.setattr(occupancy, "solve_field_for_polarization", recorded)
-    find_threshold(HarmonicTrap(), 0.5, t_bracket=(0.05, 1.0))
+    find_threshold(HarmonicTrap(), 0.5)
     assert starts[:2] == [None, None]
     assert len(starts) > 2 and all(s > 0.0 for s in starts[2:])
 
@@ -487,6 +497,86 @@ def test_trap_threshold_converges_to_thomas_fermi_root():
     assert abs(extrapolated - TRAP_THOMAS_FERMI_T_STAR) < 1e-8
 
 
-def test_threshold_needs_sign_change():
-    with pytest.raises(BracketError):
-        find_threshold(FreeSpaceContinuum(), 0.0, t_bracket=(0.05, 0.1))
+# continuum T*(P) at high P, the root of f_s from 30-digit mpmath with
+# N_s = Gamma(3/2) T^{3/2} (-Li_{3/2}(-z_s)), F_s = Gamma(3/2) T^{3/2}
+# (-Li_{1/2}(-z_s)) and sum n_up n_down = (N_up - e^{H/T} N_down) / (1 - e^{H/T})
+HIGH_P_T_STAR = {
+    0.99: 0.0228535760457781438,  # inside T_BRACKET: no stepping
+    0.999: 0.00246363535102118057,
+    0.9999: 0.000256928383660778762,
+}
+
+
+@pytest.mark.parametrize("p", sorted(HIGH_P_T_STAR))
+def test_high_polarization_threshold_pinned_polylog(p):
+    # below T = 0.02 the lower end steps down; the stepped bracket's xtol of
+    # T_TOLERANCE * hi / 2 (at most 4e-6 of T*) and the field solve's
+    # P_TOLERANCE set the relative tolerance
+    t_star = find_threshold(FreeSpaceContinuum(), p)
+    assert t_star == pytest.approx(HIGH_P_T_STAR[p], rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "model,p", [(HarmonicTrap(), 0.99), (FreeSpaceGrid(), 0.999)], ids=["trap", "grid"]
+)
+def test_stepped_threshold_straddles_the_sign_change(model, p):
+    # no closed form here: f_s changes sign within 1e-5 of T* (margins
+    # measured +-1.0e-7 on the trap and +2.1e-8 / -2.3e-8 on the grid)
+    t_star = find_threshold(model, p)
+    assert t_star < T_BRACKET[0]
+
+    def f_s(t):
+        return 1.0 - xi_squared(moments_at(model, t, p)[1])
+
+    assert f_s(t_star * (1.0 - 1e-5)) > 0.0 > f_s(t_star * (1.0 + 1e-5))
+
+
+def test_threshold_steps_the_lower_end_down_eightfold(monkeypatch):
+    temperatures = []
+    real_moments_at = spinmoments.moments_at
+
+    def recorded(model, t, *args):
+        temperatures.append(t)
+        return real_moments_at(model, t, *args)
+
+    monkeypatch.setattr(spinmoments, "moments_at", recorded)
+    t_star = find_threshold(FreeSpaceContinuum(), 0.9999)
+    lo, hi = T_BRACKET
+    assert temperatures[:5] == [lo, hi, lo / 8.0, lo / 64.0, lo / 512.0]
+    assert lo / 512.0 < t_star < lo / 64.0
+
+
+def test_stepped_threshold_keeps_relative_digits(monkeypatch):
+    # a synthetic f_s with a steep sign change at T0 = 2.6e-6, the continuum
+    # T*(0.999999): after five eightfold steps the bracket is [6.1e-7,
+    # 4.9e-6], and narrowing it to T_TOLERANCE * hi / 2 leaves at most
+    # 2 T_TOLERANCE of T*; an absolute T_TOLERANCE there would stop at a
+    # midpoint 3.6 % off
+    t0 = 2.6e-6
+
+    def synthetic(model, t, p_target=0.0, start=None):
+        f_s = math.tanh((t0 - t) / 1e-6)
+        return 1.0, SpinMoments(1.0, 0.0, 0.0, (1.0 - f_s) / 2.0, 0.0)
+
+    monkeypatch.setattr(spinmoments, "moments_at", synthetic)
+    assert find_threshold(None, 0.5) == pytest.approx(t0, rel=2.0 * T_TOLERANCE)
+
+
+@pytest.mark.parametrize(
+    "model,p,error,message",
+    [
+        # the w = 2 box holds no state above T* of free space: f_s >= 0 at T = 2
+        (FreeSpaceGrid(half_width=2), 0.0, DomainError, "f_s >= 0 at T=2.0"),
+        # the minority spin keeps a few particles in a partly filled shell
+        (HarmonicTrap(), 0.999, DomainError, "f_s <= 0 down to T=6.1e-07"),
+        # mu = hbar omega lies below the band (lowest shell 3/2 hbar omega), so
+        # the gas is classical, f_s < 0, and the lower end steps down until
+        # no particle is left
+        (HarmonicTrap(level_spacing=1.0), 0.0, DegenerateInputError, "zero total"),
+    ],
+    ids=["grid-w2", "trap-high-p", "trap-empty"],
+)
+def test_threshold_without_a_sign_change_is_a_domain_error(model, p, error, message):
+    assert issubclass(error, DomainError)
+    with pytest.raises(error, match=message):
+        find_threshold(model, p)
